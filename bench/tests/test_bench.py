@@ -26,14 +26,16 @@ SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = [w["name"] for w in SPEC["workloads"]]
 
 
-def _run(workload, trace):
+def _run(workload, trace, lines=False):
     proc = subprocess.run(
         [sys.executable, str(BENCH / "run.py"), "--workload", workload, "--seed", "3",
          "--seconds", "0.5", "--trace", str(trace), "--tiny"],
         cwd=ROOT, capture_output=True, text=True, timeout=170,
     )
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    out = proc.stdout.strip().splitlines()
+    result = json.loads(out[-1])
+    return (result, out[:-1]) if lines else result
 
 
 @pytest.mark.parametrize("trace", [0, 1])
@@ -49,6 +51,14 @@ def test_tiny_run_emits_every_declared_metric(workload, trace):
         got = result["metrics"][m["name"]]
         assert got["unit"] == m["unit"]
         assert isinstance(got["value"], (int, float))
+
+
+def test_known_defects_are_reported_but_not_counted():
+    result, lines = _run("cli_docs", 0, lines=True)
+    assert result["correct"] is True and result["failed"] == 0
+    assert "known_defect verify-hormander-f failed CheckFailed(exit 1 (MaxAtInfinityError))" in lines
+    result, _ = _run("cli_docs", 1, lines=True)
+    assert result["metrics"]["cli.run.nonzero_exit"]["value"] == 1
 
 
 def test_run_without_sources_fails(tmp_path):
