@@ -447,14 +447,13 @@ def _perturbed_residual(prob, sol, rng) -> float:
     """Largest zero-pair residual after a 1% coefficient perturbation."""
     c = np.asarray(sol._cheb)
     best = 0.0
+    disc = X._Discretized(prob)
     for _ in range(5):
         pert = c * (1.0 + 0.01 * rng.uniform(-1.0, 1.0, size=c.size))
-        disc = X._Discretized(prob)
         zeros = X._split_guesses(disc, pert)
         if len(zeros) < 2:
             continue
-        fake = dataclasses.replace(sol, zeros=tuple(zeros))
-        object.__setattr__(fake, "_cheb", pert)
+        fake = dataclasses.replace(sol, zeros=tuple(zeros), _cheb=pert)
         for i in range(len(zeros) - 1):
             r = X.orthogonality_residual(fake, prob, (zeros[i], zeros[i + 1]))
             best = max(best, abs(r))

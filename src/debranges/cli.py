@@ -340,7 +340,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     inputs = {
         k: v
         for k, v in vars(args).items()
-        if k != "command" and v not in (None, False)
+        if k != "command" and v is not None and v is not False
     }
     try:
         body = _COMMANDS[args.command](args)

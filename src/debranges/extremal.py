@@ -15,6 +15,7 @@ the (smoothed, for p < 2) functional converges from any start.  The range
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
@@ -22,7 +23,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
-from .hb_core import HBSpec, Kernel, eval_E, phase_derivative_sup
+from .hb_core import HBSpec, Kernel, eval_E, phase_bracket, phase_derivative_sup
 from .numerics import NonConvergenceError, QuadratureScheme, integrate, log_gamma
 
 __all__ = [
@@ -165,10 +166,7 @@ class ExtremalSolution:
         if self.basis_kind == "polynomial":
             out = _cheb.chebval(np.asarray(z) / self._cheb_scale, self._cheb)
         else:
-            zz = np.asarray(z)
-            out = np.zeros_like(zz, dtype=complex)
-            for w, t in zip(self.coefficients, self._kernel_nodes):
-                out = out + w * Kernel(self.spec, t).eval(zz)
+            out = _kernel_sum(self.spec, self._kernel_nodes, self.coefficients, z)
         if np.ndim(z) == 0:
             return complex(out)
         return out
@@ -187,6 +185,14 @@ class ExtremalSolution:
             "norm_residual": self.norm_residual,
             "truncated": self.truncated,
         }
+
+
+def _kernel_sum(spec: HBSpec, nodes: Sequence[float], weights, z):
+    """sum_j weights_j K_{nodes_j}(z): a kernel-node expansion at z."""
+    out = np.zeros_like(np.asarray(z), dtype=complex)
+    for w, t in zip(weights, nodes):
+        out = out + w * Kernel(spec, t).eval(z)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -286,10 +292,7 @@ class _Discretized:
     def coeff_eval(self, c, z):
         if self.kind == "polynomial":
             return _cheb.chebval(np.asarray(z) / self.scale, c)
-        out = np.zeros_like(np.asarray(z, dtype=complex))
-        for wgt, t in zip(c, self.problem.basis.nodes):
-            out = out + wgt * Kernel(self.problem.spec, t).eval(z)
-        return out
+        return _kernel_sum(self.problem.spec, self.problem.basis.nodes, c, z)
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +590,7 @@ def solve(problem: ExtremalProblem, seed: Optional[int] = None) -> ExtremalSolut
         coefficients = np.real(c_final)
         extra = {"_kernel_nodes": problem.basis.nodes}
 
-    sol = ExtremalSolution(
+    provisional = ExtremalSolution(
         p=p,
         spec=problem.spec,
         xi=problem.xi,
@@ -603,11 +606,10 @@ def solve(problem: ExtremalProblem, seed: Optional[int] = None) -> ExtremalSolut
         **extra,
     )
     resids = tuple(
-        orthogonality_residual(sol, problem, (zeros[i], zeros[i + 1]))
+        orthogonality_residual(provisional, problem, (zeros[i], zeros[i + 1]))
         for i in range(len(zeros) - 1)
     )
-    object.__setattr__(sol, "orthogonality_residuals", resids)
-    return sol
+    return dataclasses.replace(provisional, orthogonality_residuals=resids)
 
 
 def _min_gap(zeros: Sequence[float]) -> float:
@@ -680,10 +682,9 @@ def extract_zeros(sol: ExtremalSolution, problem: ExtremalProblem) -> np.ndarray
     Polynomial mode roots the (scaled Chebyshev) coefficient form through a
     companion/colleague matrix; a complex pair raises ComplexZeroError, which
     at a claimed optimum indicates solver non-convergence.  Simplicity is
-    asserted through a strictly positive minimum gap and a nonvanishing
-    derivative at each root.
+    asserted through a strictly positive minimum gap and a derivative at
+    each root that does not vanish against |f| within unit distance of it.
     """
-    disc = _Discretized(problem)
     if sol.basis_kind == "polynomial":
         zeros = _cheb_real_roots(np.asarray(sol._cheb), sol._cheb_scale)
     else:
@@ -694,8 +695,9 @@ def extract_zeros(sol: ExtremalSolution, problem: ExtremalProblem) -> np.ndarray
         h = 1e-6 * (1.0 + np.abs(zeros))
         z = np.asarray(zeros)
         d1 = (np.real(sol.eval(z + h)) - np.real(sol.eval(z - h))) / (2 * h)
-        scale = float(np.max(np.abs(np.real(sol.eval(np.linspace(z.min() - 1, z.max() + 1, 64))))))
-        if np.any(np.abs(d1) <= 1e-10 * max(scale, 1e-300)):
+        near = z[:, None] + np.linspace(-1.0, 1.0, 17)
+        scale = np.max(np.abs(np.real(sol.eval(near))), axis=1)
+        if np.any(np.abs(d1) <= 1e-10 * np.maximum(scale, 1e-300)):
             raise ComplexZeroError("vanishing derivative at a zero; not simple")
     return np.asarray(zeros)
 
@@ -882,17 +884,7 @@ def plateau_interval(spec: HBSpec, alpha: float, xi: float) -> Tuple[float, floa
     solve phi = phi(xi) -+ pi/2, so each half-width is at least
     pi / (2 ||phi'||_inf) by the mean value theorem.
     """
-    from .hb_core import PhaseProfile, eval_AB, phase
-    from .hormander import _phase_level_on_side
-
-    _, b = eval_AB(spec, alpha, xi)
-    if abs(b) > 1e-8 * abs(complex(eval_E(spec, xi))):
-        raise ValueError(f"B_alpha({xi}) != 0; xi is not on the 2*alpha phase level")
-    profile = PhaseProfile(spec)
-    phi_xi = phase(profile, xi)
-    lo = _phase_level_on_side(profile, phi_xi - math.pi / 2, xi, -1, "plateau edge")
-    hi = _phase_level_on_side(profile, phi_xi + math.pi / 2, xi, +1, "plateau edge")
-    return lo, hi
+    return phase_bracket(spec, alpha, xi, math.pi / 2)
 
 
 def mean_type_profile(

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 
@@ -26,6 +26,7 @@ from .numerics import golden_max, monotone_solve
 __all__ = [
     "SpecError",
     "MembershipError",
+    "BracketUnavailableError",
     "HBSpec",
     "PhaseProfile",
     "PhaseSup",
@@ -39,6 +40,8 @@ __all__ = [
     "phase_derivative_sup",
     "phase_limits",
     "level_crossings",
+    "solve_phase_level",
+    "phase_bracket",
     "hb_bar_check",
     "upper_half_plane_grid",
     "StructuredEntire",
@@ -63,6 +66,10 @@ class SpecError(ValueError):
 
 class MembershipError(ValueError):
     """A structured function is not certified for the ambient space."""
+
+
+class BracketUnavailableError(RuntimeError):
+    """The phase has too little variation for a B/A-zero bracket."""
 
 
 @dataclass(frozen=True)
@@ -114,6 +121,11 @@ class HBSpec:
         return self.exp_rate == 0.0
 
 
+def _scalar_if_0d(z, out, kind=complex):
+    """out as a Python scalar of the given kind when z is a scalar."""
+    return kind(out) if np.ndim(z) == 0 else out
+
+
 @lru_cache(maxsize=512)
 def _zero_data(spec: HBSpec):
     """Real parts and (positive) reflected imaginary parts of the zeros."""
@@ -151,9 +163,7 @@ def eval_E(spec: HBSpec, z, conjugate: bool = False):
             + np.sum(np.angle(diffs), axis=-1)
         )
         out = np.exp(logmag) * np.exp(1j * arg)
-    if np.ndim(z) == 0:
-        return complex(out)
-    return out
+    return _scalar_if_0d(z, out)
 
 
 def eval_E_prime(spec: HBSpec, z, conjugate: bool = False):
@@ -169,17 +179,12 @@ def eval_E_prime(spec: HBSpec, z, conjugate: bool = False):
     if spec.degree:
         logd = logd + np.sum(1.0 / (zz[..., None] - roots), axis=-1)
     out = eval_E(spec, zz, conjugate=conjugate) * logd
-    if np.ndim(z) == 0:
-        return complex(out)
-    return out
+    return _scalar_if_0d(z, out)
 
 
 def eval_AB(spec: HBSpec, beta: float, x):
     """(A_beta(x), B_beta(x)): real and imaginary parts of e^{i beta} E(x)."""
-    w = np.exp(1j * beta) * eval_E(spec, np.asarray(x, dtype=float))
-    if np.ndim(x) == 0:
-        w = complex(w)
-        return w.real, w.imag
+    w = _scalar_if_0d(x, np.exp(1j * beta) * eval_E(spec, np.asarray(x, dtype=float)))
     return w.real, w.imag
 
 
@@ -202,6 +207,8 @@ class PhaseProfile:
     spec: HBSpec
     anchor_point: float = 0.0
     anchor_value: Optional[float] = None
+    # phi(x) - the unanchored arctan sum; fixed by the anchor
+    offset: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not math.isfinite(self.anchor_point):
@@ -218,6 +225,8 @@ class PhaseProfile:
                     f"anchor_value {self.anchor_value} is not a branch of "
                     f"arg Theta_E({self.anchor_point}) = {principal} mod 2 pi"
                 )
+        unanchored = float(_unanchored_phase(self.spec, self.anchor_point))
+        object.__setattr__(self, "offset", self.anchor_value - unanchored)
 
     def __call__(self, x):
         return phase(self, x)
@@ -236,14 +245,8 @@ def _unanchored_phase(spec: HBSpec, x):
 
 def phase(profile: PhaseProfile, x):
     """phi(x): strictly increasing, with e^{i phi(x)} = Theta_E(x)."""
-    base = _unanchored_phase(profile.spec, x)
-    offset = profile.anchor_value - float(
-        _unanchored_phase(profile.spec, profile.anchor_point)
-    )
-    out = base + offset
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
+    out = _unanchored_phase(profile.spec, x) + profile.offset
+    return _scalar_if_0d(x, out, float)
 
 
 def phase_derivative(spec: HBSpec, x):
@@ -254,9 +257,7 @@ def phase_derivative(spec: HBSpec, x):
         xs, ys = _zero_data(spec)
         d = xx[..., None] - xs
         acc = acc + 2.0 * np.sum(ys / (d * d + ys * ys), axis=-1)
-    if np.ndim(x) == 0:
-        return float(acc)
-    return acc
+    return _scalar_if_0d(x, acc, float)
 
 
 class PhaseSup(NamedTuple):
@@ -308,10 +309,59 @@ def phase_limits(profile: PhaseProfile) -> Tuple[float, float]:
     if spec.exp_rate > 0.0:
         return -math.inf, math.inf
     total = math.pi * spec.degree
-    offset = profile.anchor_value - float(
-        _unanchored_phase(spec, profile.anchor_point)
+    return profile.offset - total, profile.offset + total
+
+
+def solve_phase_level(
+    profile: PhaseProfile, level: float, start: float, tol: float = 1e-14
+) -> float:
+    """The unique x with phi(x) = level, bracketed outward from start.
+
+    Raises BracketUnavailableError when the level lies outside the phase
+    range (phi(-inf), phi(+inf)), i.e. phi never reaches it.  The bracket
+    grows geometrically from start, in steps of 2 pi / phi'(start), before
+    the monotone bisection/Newton inversion; inside the range the growth
+    ends, since phi is continuous and reaches every level.
+    """
+    lo_lim, hi_lim = phase_limits(profile)
+    if not lo_lim < level < hi_lim:
+        raise BracketUnavailableError(
+            f"phase level {level} is outside the phase range ({lo_lim}, "
+            f"{hi_lim}): total phase variation insufficient"
+        )
+    side = 1.0 if level >= phase(profile, start) else -1.0
+    step = 2 * math.pi / phase_derivative(profile.spec, start)
+    while side * (phase(profile, start + side * step) - level) < 0.0:
+        step *= 2.0
+    probe = start + side * step
+    return monotone_solve(
+        lambda t: phase(profile, t),
+        level,
+        (min(start, probe), max(start, probe)),
+        tol=tol,
+        dg=lambda t: phase_derivative(profile.spec, t),
     )
-    return offset - total, offset + total
+
+
+def phase_bracket(
+    spec: HBSpec, alpha: float, xi: float, offset: float, tol: float = 1e-8
+) -> Tuple[float, float]:
+    """The points left and right of xi where phi = phi(xi) -+ offset.
+
+    xi must lie on the 2*alpha phase level, i.e. B_alpha(xi) = 0 within tol
+    relative to |E(xi)|.  Offsets 2 pi, pi and pi/2 give the neighbouring
+    zeros of B_alpha, those of A_alpha, and the |A_alpha/E|^2 >= 1/2
+    plateau edges.
+    """
+    _, b = eval_AB(spec, alpha, xi)
+    if abs(b) > tol * abs(complex(eval_E(spec, xi))):
+        raise ValueError(f"B_alpha({xi}) = {b} is not zero; alpha does not match xi")
+    profile = PhaseProfile(spec)
+    phi_xi = phase(profile, xi)
+    return (
+        solve_phase_level(profile, phi_xi - offset, xi),
+        solve_phase_level(profile, phi_xi + offset, xi),
+    )
 
 
 def level_crossings(
@@ -324,7 +374,8 @@ def level_crossings(
 
     With target = 2*beta + pi these are exactly the zeros of A_beta, with
     target = 2*beta the zeros of B_beta.  Monotone bisection/Newton on the
-    closed-form phase; returns a sorted array, possibly empty.
+    closed-form phase, each level bracketed from the previous root;
+    returns a sorted array, possibly empty.
     """
     lo, hi = float(window[0]), float(window[1])
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
@@ -335,20 +386,14 @@ def level_crossings(
     kmin = math.ceil((philo - target_mod_2pi) / two_pi - 1e-12)
     kmax = math.floor((phihi - target_mod_2pi) / two_pi + 1e-12)
     roots = []
+    start = lo
     for k in range(kmin, kmax + 1):
         level = target_mod_2pi + two_pi * k
         if level < philo - 1e-12 or level > phihi + 1e-12:
             continue
-        roots.append(
-            monotone_solve(
-                lambda t: phase(profile, t),
-                level,
-                (lo, hi),
-                tol=tol,
-                dg=lambda t: phase_derivative(profile.spec, t),
-            )
-        )
-    return np.array(sorted(roots))
+        start = solve_phase_level(profile, level, start, tol)
+        roots.append(start)
+    return np.clip(np.array(roots), lo, hi)
 
 
 @dataclass(frozen=True)
@@ -488,9 +533,7 @@ class RotationRealPart(StructuredEntire):
             np.exp(1j * self.beta) * eval_E(self.spec, zz)
             + np.exp(-1j * self.beta) * eval_E(self.spec, zz, conjugate=True)
         )
-        if np.ndim(z) == 0:
-            return complex(w)
-        return w
+        return _scalar_if_0d(z, w)
 
     def certify(self, ambient: HBSpec) -> None:
         if same_de_branges_space(self.spec, ambient):
@@ -580,9 +623,7 @@ class Kernel(StructuredEntire):
         u = zz - self.t
         taylor = -(n1 + n2 * u / 2.0 + n3 * u * u / 6.0) / (2j * math.pi)
         out = np.where(near, taylor, num / np.where(near, 1.0, den))
-        if np.ndim(z) == 0:
-            return complex(out)
-        return out
+        return _scalar_if_0d(z, out)
 
     def certify(self, ambient: HBSpec) -> None:
         if same_de_branges_space(self.spec, ambient):
@@ -642,9 +683,7 @@ class RealPolynomial(StructuredEntire):
     def eval(self, z):
         zz = np.asarray(z, dtype=complex)
         out = np.polynomial.polynomial.polyval(zz, self.coefficients)
-        if np.ndim(z) == 0:
-            return complex(out)
-        return out
+        return _scalar_if_0d(z, out)
 
     def certify(self, ambient: HBSpec) -> None:
         if not ambient.is_polynomial:
@@ -682,9 +721,7 @@ class Combination(StructuredEntire):
         acc = self.terms[0][0] * np.asarray(self.terms[0][1].eval(z))
         for w, node in self.terms[1:]:
             acc = acc + w * np.asarray(node.eval(z))
-        if np.ndim(z) == 0:
-            return complex(acc)
-        return acc
+        return _scalar_if_0d(z, acc)
 
     def certify(self, ambient: HBSpec) -> None:
         for _, node in self.terms:

@@ -21,6 +21,7 @@ from typing import Callable, List, Optional, Tuple, Union
 import numpy as np
 
 from .hb_core import (
+    BracketUnavailableError,
     Combination,
     HBSpec,
     PhaseProfile,
@@ -29,10 +30,12 @@ from .hb_core import (
     eval_AB,
     eval_E,
     phase,
-    phase_derivative,
+    phase_bracket,
+    phase_limits,
     same_de_branges_space,
+    solve_phase_level,
 )
-from .numerics import golden_max, monotone_solve
+from .numerics import golden_max
 
 __all__ = [
     "BracketUnavailableError",
@@ -53,10 +56,6 @@ EntireLike = Union[StructuredEntire, Callable[[np.ndarray], np.ndarray]]
 _POLY = np.polynomial.polynomial
 
 
-class BracketUnavailableError(RuntimeError):
-    """The phase has too little variation for a B/A-zero bracket."""
-
-
 class WrongSignError(RuntimeError):
     """f is negative at every extremal point; use verify_sign_free."""
 
@@ -71,64 +70,6 @@ def _real_eval(f: EntireLike) -> Callable[[np.ndarray], np.ndarray]:
     return lambda x: np.real(np.asarray(f(np.asarray(x, dtype=float))))
 
 
-def _solve_phase_level(
-    profile: PhaseProfile, level: float, start: float, side: int
-) -> float:
-    """Solve phi(x) = level on the given side of start (side = -1 or +1).
-
-    Expands a bracket geometrically; the caller must have checked the level
-    is inside the phase range.
-    """
-    spec = profile.spec
-    step = 2 * math.pi / phase_derivative(spec, start)
-    lo = hi = start
-    for _ in range(200):
-        probe = start + side * step
-        if side > 0:
-            if phase(profile, probe) >= level:
-                lo, hi = start, probe
-                break
-        else:
-            if phase(profile, probe) <= level:
-                lo, hi = probe, start
-                break
-        step *= 2.0
-    else:
-        raise BracketUnavailableError(
-            f"could not bracket the phase level {level} (side {side})"
-        )
-    return monotone_solve(
-        lambda t: phase(profile, t),
-        level,
-        (lo, hi),
-        tol=1e-14,
-        dg=lambda t: phase_derivative(spec, t),
-    )
-
-
-def _phase_level_on_side(
-    profile: PhaseProfile, level: float, xi: float, side: int, what: str
-) -> float:
-    lo_lim, hi_lim = _phase_range(profile)
-    if side < 0 and not level > lo_lim:
-        raise BracketUnavailableError(
-            f"no {what} to the left of {xi}: total phase variation "
-            f"insufficient (needs level {level}, range starts at {lo_lim})"
-        )
-    if side > 0 and not level < hi_lim:
-        raise BracketUnavailableError(
-            f"no {what} to the right of {xi}: total phase variation "
-            f"insufficient (needs level {level}, range ends at {hi_lim})"
-        )
-    return _solve_phase_level(profile, level, xi, side)
-
-
-def _phase_range(profile: PhaseProfile) -> Tuple[float, float]:
-    from .hb_core import phase_limits
-
-    return phase_limits(profile)
-
-
 def bracket_B_zeros(
     spec: HBSpec, alpha: float, xi: float, tol: float = 1e-8
 ) -> Tuple[float, float]:
@@ -138,32 +79,14 @@ def bracket_B_zeros(
     automatic when alpha is taken from E(xi) = e^{-i alpha} |E(xi)|.  The
     bracketing zeros solve phi(b) = phi(xi) -+ 2 pi.
     """
-    _, b = eval_AB(spec, alpha, xi)
-    if abs(b) > tol * abs(complex(eval_E(spec, xi))):
-        raise ValueError(
-            f"B_alpha({xi}) = {b} is not zero; alpha does not match xi"
-        )
-    profile = PhaseProfile(spec)
-    phi_xi = phase(profile, xi)
-    b_l = _phase_level_on_side(profile, phi_xi - 2 * math.pi, xi, -1, "B_alpha zero")
-    b_r = _phase_level_on_side(profile, phi_xi + 2 * math.pi, xi, +1, "B_alpha zero")
-    return b_l, b_r
+    return phase_bracket(spec, alpha, xi, 2 * math.pi, tol)
 
 
 def bracket_A_zeros(
     spec: HBSpec, alpha: float, xi: float, tol: float = 1e-8
 ) -> Tuple[float, float]:
     """Zeros of A_alpha immediately left and right of xi: phi(a) = phi(xi) -+ pi."""
-    _, b = eval_AB(spec, alpha, xi)
-    if abs(b) > tol * abs(complex(eval_E(spec, xi))):
-        raise ValueError(
-            f"B_alpha({xi}) = {b} is not zero; alpha does not match xi"
-        )
-    profile = PhaseProfile(spec)
-    phi_xi = phase(profile, xi)
-    a_l = _phase_level_on_side(profile, phi_xi - math.pi, xi, -1, "A_alpha zero")
-    a_r = _phase_level_on_side(profile, phi_xi + math.pi, xi, +1, "A_alpha zero")
-    return a_l, a_r
+    return phase_bracket(spec, alpha, xi, math.pi, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -187,25 +110,16 @@ def _rotation_candidates(f: RotationRealPart, spec: HBSpec) -> List[_Candidate]:
     """
     beta_rel = f.beta + f.spec.rotation - spec.rotation
     profile = PhaseProfile(spec)
-    lo_lim, hi_lim = _phase_range(profile)
+    lo_lim, hi_lim = phase_limits(profile)
     two_pi = 2 * math.pi
-    phi0 = phase(profile, 0.0)
-    k0 = round((phi0 - 2 * beta_rel) / two_pi)
-    if math.isinf(lo_lim):
-        ks = range(k0 - 3, k0 + 4)
-    else:
-        # polynomial-type: enumerate every level inside the phase range
-        ks = range(
-            math.ceil((lo_lim - 2 * beta_rel) / two_pi + 1e-12),
-            math.floor((hi_lim - 2 * beta_rel) / two_pi - 1e-12) + 1,
-        )
+    k0 = round((phase(profile, 0.0) - 2 * beta_rel) / two_pi)
     out: List[_Candidate] = []
-    for k in ks:
+    # the seven levels around phi(0): callers take the crossings nearest 0
+    for k in range(k0 - 3, k0 + 4):
         level = 2 * beta_rel + two_pi * k
-        if not (lo_lim < level < hi_lim):
+        if not lo_lim < level < hi_lim:
             continue
-        side = 1 if level >= phi0 else -1
-        x = _solve_phase_level(profile, level, 0.0, side)
+        x = solve_phase_level(profile, level, 0.0)
         # |f(x)| = |E(x)| at a crossing, so the sign read-off is clean
         sgn = 1 if float(np.real(f.eval(x))) >= 0 else -1
         out.append(_Candidate(x=x, value=1.0, sign=sgn))
@@ -326,8 +240,12 @@ def _auto_window_candidates(
     coeffs = f.poly_coeffs(spec)
     d = coeffs.size - 1
     n = spec.degree
+    if d > n:
+        raise MaxAtInfinityError("deg f > deg E: the ratio f/E is unbounded")
     radius = max([abs(z) for z in spec.zeros], default=0.0)
     csum = float(np.sum(np.abs(coeffs)))
+    # exact limit of |f/E| at +-infinity: |a_N| / scale if deg f = deg E
+    limit = abs(float(coeffs[-1])) / spec.scale if d == n else 0.0
 
     def fval(x):
         return np.real(np.asarray(f.eval(np.asarray(x, dtype=float))))
@@ -337,16 +255,20 @@ def _auto_window_candidates(
 
     w = max(4.0, 2.0 * radius + 2.0)
     for _ in range(60):
-        # crude but safe tail bound: |f| <= csum |x|^d, |E| >= scale (|x|/2)^N
-        # once |x| >= 2 * radius and |x| >= 1
         xs = np.linspace(-w, w, n_grid)
         interior = float(np.max(ratio(xs)))
-        if d >= n:
+        if limit >= interior:
             raise MaxAtInfinityError(
-                "deg f = deg E: the ratio f/E does not decay, so the "
-                "supremum need not be attained"
+                f"|f/E| tends to {limit} at infinity, at least its interior "
+                f"maximum {interior}, so the supremum need not be attained"
             )
-        tail = (csum / spec.scale) * (2.0 ** n) * w ** (d - n)
+        # safe tail bounds for |x| >= w >= max(1, 2 * radius): |E| >=
+        # scale (|x| - radius)^N >= scale (|x|/2)^N, and |f| <= csum |x|^d,
+        # or |a_N| |x|^N + (csum - |a_N|) |x|^(N-1) when d = N
+        if d < n:
+            tail = (csum / spec.scale) * (2.0 ** n) * w ** (d - n)
+        else:
+            tail = (limit + (csum / spec.scale - limit) / w) / (1.0 - radius / w) ** n
         if tail < interior * (1.0 - 1e-9):
             return _grid_candidates(
                 ratio,

@@ -215,7 +215,10 @@ def monotone_solve(
 
     Requires g(lo) <= target <= g(hi).  Plain bisection, with a Newton step
     attempted first whenever a derivative is supplied; the bracket is always
-    maintained, so the hybrid cannot escape.  tol is an x-space tolerance.
+    maintained, so the hybrid cannot escape.  As in Numerical Recipes'
+    rtsafe, a Newton step is taken only if it stays inside the bracket and
+    is under half the step before last; otherwise Newton can cycle between
+    two points across an inflection.  tol is an x-space tolerance.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if lo > hi:
@@ -232,6 +235,7 @@ def monotone_solve(
     if ghi <= 0.0:
         return hi
     x = 0.5 * (lo + hi)
+    last_step = step_before = hi - lo
     for _ in range(max_iter):
         if hi - lo <= tol * (1.0 + abs(lo) + abs(hi)):
             break
@@ -247,9 +251,11 @@ def monotone_solve(
             d = dg(x)
             if d > 0.0 and math.isfinite(d):
                 cand = x - gx / d
-                if lo < cand < hi:
+                if lo < cand < hi and abs(cand - x) < 0.5 * step_before:
                     x_new = cand
-        x = x_new if x_new is not None else 0.5 * (lo + hi)
+        x_next = x_new if x_new is not None else 0.5 * (lo + hi)
+        step_before, last_step = last_step, abs(x_next - x)
+        x = x_next
     return 0.5 * (lo + hi)
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -58,6 +59,14 @@ class TestBoundsCommand:
         lines = csvp.read_text().strip().splitlines()
         assert lines[0] == "p,K_p,bound,nonasymptotic_pth_power,ratio"
         assert len(lines) == 101
+
+    def test_zero_inputs_are_echoed(self, spec_file, tmp_path):
+        out = tmp_path / "r.json"
+        run(["bounds", "--p", "2", "--seed", "0", "--xi", "0", "--alpha", "0",
+             "--spec", spec_file(S_PI_JSON), "--out", str(out)])
+        inputs = read_report(out)["inputs"]
+        assert inputs["seed"] == 0 and inputs["xi"] == 0.0 and inputs["alpha"] == 0.0
+        assert "sign_free" not in inputs and "window" not in inputs
 
     def test_float_round_trip(self, spec_file, tmp_path):
         out = tmp_path / "r.json"
@@ -136,6 +145,19 @@ class TestVerifyCommand:
              "--f", spec_file(neg_kernel, "neg.json"), "--window=-3,3"]
         )
         assert code == EXIT_ASSERTION
+
+    def test_readme_member_mixture(self, tmp_path):
+        # deg f = deg E: the interior maximum 0.7465 beats the limit 0.5526
+        specs = Path(__file__).resolve().parent.parent / "demos" / "specs"
+        out = tmp_path / "r.json"
+        code = run(
+            ["verify-hormander", "--spec", str(specs / "cubic.json"),
+             "--f", str(specs / "member_mixture.json"), "--out", str(out)]
+        )
+        assert code == EXIT_OK
+        rep = read_report(out)
+        assert rep["passed"] is True
+        assert abs(rep["values"]["norm"] - 0.7465) <= 1e-4
 
     def test_uncertified_member_rejected(self, spec_file):
         # degree 3 exceeds the H^inf cap N-1 = 2 on a cubic spec

@@ -249,10 +249,25 @@ class TestZeroExtraction:
         # x^2 + 1 in the scaled Chebyshev basis has a complex pair
         L = sol._cheb_scale
         bad = np.array([1.0 + L * L / 2.0, 0.0, L * L / 2.0])
-        fake = dataclasses.replace(sol)
-        object.__setattr__(fake, "_cheb", bad)
+        fake = dataclasses.replace(sol, _cheb=bad)
         with pytest.raises(ComplexZeroError):
             extract_zeros(fake, prob)
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_far_zero_does_not_mask_simple_zeros(self, p):
+        # one zero of the optimum sits near -39 (p = 2) or -53 (p = 3); a
+        # derivative threshold scaled by max |f| over the whole zero hull
+        # rejected the simple zeros near xi
+        rng = np.random.default_rng(0)
+        zeros = [complex(rng.uniform(-3, 3), rng.uniform(-3, -0.1)) for _ in range(12)]
+        spec = HBSpec(zeros=zeros)
+        xi = float(np.linspace(-2.0, 2.0, 12)[10])
+        prob = ExtremalProblem(p=p, spec=spec, xi=xi, basis=PolynomialBasis(10))
+        sol = solve(prob)
+        assert min(sol.zeros) < -30.0
+        z = extract_zeros(sol, prob)
+        assert np.allclose(z, sol.zeros, rtol=1e-9, atol=0.0)
+        assert np.max(np.abs(np.real(sol.eval(z))) / np.abs(eval_E(spec, z))) <= 1e-8
 
 
 class TestSeparation:

@@ -65,6 +65,20 @@ class TestLocateExtremum:
         with pytest.raises(MaxAtInfinityError):
             locate_extremum(RotationRealPart(ONE, 0.0), ONE)
 
+    def test_max_at_infinity_when_limit_dominates(self):
+        # |x^3 / (x + i)^3| < 1 tends to 1: never attained
+        with pytest.raises(MaxAtInfinityError):
+            locate_extremum(RealPolynomial([0.0, 0.0, 0.0, 1.0]), THREE)
+
+    def test_equal_degree_member_below_its_limit(self):
+        # deg f = deg E, but |f/E| peaks above its limit |a_3| = 2 at +-infinity
+        f = Combination([(2.0, RealPolynomial([0.0, 0.0, 0.0, 1.0])), (3.0, RealPolynomial([1.0]))])
+        xi, norm = locate_extremum(f, THREE)
+        xs = np.linspace(-50, 50, 200001)
+        vals = np.abs(np.real(f.eval(xs))) / np.abs(eval_E(THREE, xs))
+        assert norm > 2.0
+        assert abs(norm - float(np.max(vals))) <= 1e-9
+
     def test_kernel_argmax(self, rng):
         spec = make_random_spec(rng, 3, 8)
         k = Kernel(spec, 0.2)

@@ -96,6 +96,22 @@ class TestMonotoneSolve:
         with pytest.raises(BracketError):
             monotone_solve(lambda x: x, 10.0, (0.0, 1.0))
 
+    def test_newton_does_not_cycle(self):
+        # a three-zero phase whose plain in-bracket Newton steps ping-pong
+        # across the steep bump at -0.58 for all 200 iterations
+        xs = (2.162147387677247, -1.3994014085593256, -0.5797872174145859)
+        ys = (1.6016554392754765, 1.993517284543199, 0.31892359013144933)
+
+        def g(x):
+            return 2 * sum(math.atan((x - a) / b) for a, b in zip(xs, ys))
+
+        def dg(x):
+            return 2 * sum(b / ((x - a) ** 2 + b * b) for a, b in zip(xs, ys))
+
+        target = -0.3926990816987237
+        root = monotone_solve(g, target, (-2.8865540402936194, 4.283122354426706), dg=dg)
+        assert abs(g(root) - target) <= 1e-12
+
 
 class TestSupOnWindow:
     def test_cos(self):

@@ -1,0 +1,101 @@
+"""Property tests of the phase-level machinery over random specs."""
+
+import cmath
+import math
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from debranges.hb_core import (  # noqa: E402
+    BracketUnavailableError,
+    HBSpec,
+    PhaseProfile,
+    eval_E,
+    level_crossings,
+    phase,
+    phase_derivative,
+    phase_limits,
+    solve_phase_level,
+)
+from debranges.hormander import bracket_A_zeros, bracket_B_zeros  # noqa: E402
+
+_zero = st.builds(
+    complex,
+    st.floats(-3.0, 3.0),
+    st.floats(-3.0, -0.1),
+)
+polynomial_specs = st.builds(
+    lambda zeros: HBSpec(zeros=zeros), st.lists(_zero, min_size=1, max_size=12)
+)
+paley_wiener_specs = st.builds(
+    lambda rate, zeros: HBSpec(exp_rate=rate, zeros=zeros),
+    st.floats(0.2, 4.0),
+    st.lists(_zero, max_size=4),
+)
+specs = st.one_of(polynomial_specs, paley_wiener_specs)
+unit = st.floats(0.01, 0.99)
+fast = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+def _level_in_range(profile, u):
+    lo, hi = phase_limits(profile)
+    if math.isinf(lo):
+        lo, hi = phase(profile, -20.0), phase(profile, 20.0)
+    return lo + u * (hi - lo)
+
+
+@fast
+@given(specs, unit, st.floats(-5.0, 5.0))
+def test_solution_meets_level(spec, u, start):
+    profile = PhaseProfile(spec)
+    level = _level_in_range(profile, u)
+    x = solve_phase_level(profile, level, start)
+    # 1e-12 in phi, or in x where phi is steeper than 1
+    assert abs(phase(profile, x) - level) <= 1e-12 * max(1.0, phase_derivative(spec, x))
+
+
+@fast
+@given(specs, st.floats(-4.0, 4.0))
+def test_brackets_are_the_crossings_next_to_xi(spec, xi):
+    profile = PhaseProfile(spec)
+    # alpha from E(xi) = e^{-i alpha} |E(xi)| puts xi on a B_alpha zero
+    alpha = -cmath.phase(complex(eval_E(spec, xi)))
+    lo_lim, hi_lim = phase_limits(profile)
+    phi_xi = phase(profile, xi)
+    for bracket, offset, target in (
+        (bracket_B_zeros, 2 * math.pi, 2 * alpha),
+        (bracket_A_zeros, math.pi, 2 * alpha + math.pi),
+    ):
+        if not (lo_lim < phi_xi - offset and phi_xi + offset < hi_lim):
+            with pytest.raises(BracketUnavailableError):
+                bracket(spec, alpha, xi)
+            continue
+        left, right = bracket(spec, alpha, xi)
+        crossings = level_crossings(profile, target, (left - 1.0, right + 1.0))
+        gap = 1e-9 * (1.0 + abs(xi))
+        below = crossings[crossings < xi - gap]
+        above = crossings[crossings > xi + gap]
+        assert abs(below[-1] - left) <= 1e-9 * (1.0 + abs(left))
+        assert abs(above[0] - right) <= 1e-9 * (1.0 + abs(right))
+
+
+@fast
+@given(specs, st.floats(0.0, math.pi))
+def test_a_and_b_zeros_interlace(spec, beta):
+    profile = PhaseProfile(spec)
+    za = level_crossings(profile, 2 * beta + math.pi, (-12.0, 12.0))
+    zb = level_crossings(profile, 2 * beta, (-12.0, 12.0))
+    for roots, target in ((za, 2 * beta + math.pi), (zb, 2 * beta)):
+        # level_crossings solves to 1e-13 (1 + 2|x|) in x
+        turns = (phase(profile, roots) - target) / (2 * math.pi)
+        off = 2 * math.pi * np.abs(turns - np.round(turns))
+        assert np.all(off <= 1e-11 * np.maximum(1.0, phase_derivative(spec, roots)))
+    merged = sorted([(x, "a") for x in za] + [(x, "b") for x in zb])
+    kinds = [kind for _, kind in merged]
+    assert all(k1 != k2 for k1, k2 in zip(kinds, kinds[1:]))
+    assert abs(za.size - zb.size) <= 1
+    assert np.all(np.diff([x for x, _ in merged]) > 0)
