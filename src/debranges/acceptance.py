@@ -447,10 +447,9 @@ def _perturbed_residual(prob, sol, rng) -> float:
     """Largest zero-pair residual after a 1% coefficient perturbation."""
     c = np.asarray(sol._cheb)
     best = 0.0
-    disc = X._Discretized(prob)
     for _ in range(5):
         pert = c * (1.0 + 0.01 * rng.uniform(-1.0, 1.0, size=c.size))
-        zeros = X._split_guesses(disc, pert)
+        zeros = X._cheb_split_guesses(pert, sol._cheb_scale)
         if len(zeros) < 2:
             continue
         fake = dataclasses.replace(sol, zeros=tuple(zeros), _cheb=pert)

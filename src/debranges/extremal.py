@@ -23,7 +23,14 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
-from .hb_core import HBSpec, Kernel, eval_E, phase_bracket, phase_derivative_sup
+from .hb_core import (
+    HBSpec,
+    Kernel,
+    _scalar_if_0d,
+    eval_E,
+    phase_bracket,
+    phase_derivative_sup,
+)
 from .numerics import NonConvergenceError, QuadratureScheme, integrate, log_gamma
 
 __all__ = [
@@ -160,16 +167,14 @@ class ExtremalSolution:
     basis_kind: str
     _cheb: Optional[np.ndarray] = None
     _cheb_scale: float = 1.0
-    _kernel_nodes: Tuple[float, ...] = ()
+    _kernels: Tuple[Kernel, ...] = ()
 
     def eval(self, z):
         if self.basis_kind == "polynomial":
             out = _cheb.chebval(np.asarray(z) / self._cheb_scale, self._cheb)
         else:
-            out = _kernel_sum(self.spec, self._kernel_nodes, self.coefficients, z)
-        if np.ndim(z) == 0:
-            return complex(out)
-        return out
+            out = _kernel_sum(self._kernels, self.coefficients, z)
+        return _scalar_if_0d(z, out)
 
     def to_dict(self) -> dict:
         return {
@@ -187,11 +192,11 @@ class ExtremalSolution:
         }
 
 
-def _kernel_sum(spec: HBSpec, nodes: Sequence[float], weights, z):
-    """sum_j weights_j K_{nodes_j}(z): a kernel-node expansion at z."""
+def _kernel_sum(kernels: Sequence[Kernel], weights, z):
+    """sum_j weights_j K_{t_j}(z): a kernel-node expansion at z."""
     out = np.zeros_like(np.asarray(z), dtype=complex)
-    for w, t in zip(weights, nodes):
-        out = out + w * Kernel(spec, t).eval(z)
+    for w, k in zip(weights, kernels):
+        out = out + w * k.eval(z)
     return out
 
 
@@ -262,10 +267,10 @@ class _Discretized:
         else:
             self.kind = "kernel"
             self.scale = 1.0
-            kernels = [Kernel(spec, t) for t in problem.basis.nodes]
+            self.kernels = tuple(Kernel(spec, t) for t in problem.basis.nodes)
 
             def basis_matrix(x):
-                return np.column_stack([np.real(k.eval(x)) for k in kernels])
+                return np.column_stack([np.real(k.eval(x)) for k in self.kernels])
 
             grid = lambda P: _window_grid(
                 problem.window, P, problem.quad_nodes, splits
@@ -292,7 +297,7 @@ class _Discretized:
     def coeff_eval(self, c, z):
         if self.kind == "polynomial":
             return _cheb.chebval(np.asarray(z) / self.scale, c)
-        return _kernel_sum(self.problem.spec, self.problem.basis.nodes, c, z)
+        return _kernel_sum(self.kernels, c, z)
 
 
 # ---------------------------------------------------------------------------
@@ -300,27 +305,17 @@ class _Discretized:
 # ---------------------------------------------------------------------------
 
 
-def _stage_epsilons(p: float) -> Tuple[float, ...]:
-    if p >= 2:
-        return (0.0,)
-    return _EPS_STAGES
+def _newton_on_slice(A, w, g0, p, eps, tol, u0, max_iter=120):
+    """Minimize sum w (g^2 + eps^2)^{p/2} over grid values g = g0 + A u by
+    damped Newton; the line search moves along g + t A du."""
 
-
-def _newton_on_slice(T, w, y0, Z, p, eps, tol, u0, max_iter=120):
-    """Minimize J(y0 + Z u) = sum w ((T y)^2 + eps^2)^{p/2} by damped Newton."""
-
-    def split(u):
-        return y0 + Z @ u
-
-    def J(u):
-        g = T @ split(u)
+    def J(g):
         return float(np.sum(w * (g * g + eps * eps) ** (p / 2)))
 
     u = u0.copy()
-    val = J(u)
+    g = g0 + A @ u
+    val = J(g)
     for _ in range(max_iter):
-        y = split(u)
-        g = T @ y
         q = g * g + eps * eps
         rho = p * g * q ** (p / 2 - 1)
         if eps == 0.0:
@@ -329,26 +324,26 @@ def _newton_on_slice(T, w, y0, Z, p, eps, tol, u0, max_iter=120):
             kappa = p * (p - 1) * np.abs(g) ** (p - 2)
         else:
             kappa = p * (q ** (p / 2 - 1) + (p - 2) * g * g * q ** (p / 2 - 2))
-        grad_y = T.T @ (w * rho)
-        grad_u = Z.T @ grad_y
+        grad_u = A.T @ (w * rho)
         gnorm = float(np.linalg.norm(grad_u))
         if gnorm <= tol * max(1.0, abs(val)):
             return u, val, gnorm
-        H = Z.T @ (T.T @ (T * (w * kappa)[:, None])) @ Z
+        H = A.T @ (A * (w * kappa)[:, None])
         try:
             du = np.linalg.solve(H, -grad_u)
             if float(du @ grad_u) >= 0:
                 du = -grad_u
         except np.linalg.LinAlgError:
             du = -grad_u
-        t, slope = 1.0, float(du @ grad_u)
+        t, slope, dg = 1.0, float(du @ grad_u), A @ du
         while t > 1e-14:
-            cand = J(u + t * du)
+            cand = J(g + t * dg)
             if cand <= val + 1e-4 * t * slope:
                 break
             t *= 0.5
         u = u + t * du
-        val = J(u)
+        g = g0 + A @ u
+        val = J(g)
     return u, val, gnorm
 
 
@@ -359,26 +354,28 @@ class _SliceSolver:
         self.disc, self.p = disc, p
         sw = np.sqrt(disc.w)
         M = sw[:, None] * disc.psi
-        _, R = np.linalg.qr(M)
+        R = np.linalg.qr(M, mode="r")
         diag = np.abs(np.diag(R))
         if np.min(diag) < 1e-13 * np.max(diag):
             raise ValueError("basis is numerically rank-deficient on this grid")
         self.R = R
-        self.T = np.linalg.solve(R.T, disc.psi.T).T  # = psi R^{-1}
-        self.v_t = np.linalg.solve(R.T, disc.v)
-        self.nv = float(np.linalg.norm(self.v_t))
-        self.y_feas = disc.b * self.v_t / self.nv ** 2
-        _, _, vh = np.linalg.svd(self.v_t[None, :])
+        T = np.linalg.solve(R.T, disc.psi.T).T  # = psi R^{-1}
+        v_t = np.linalg.solve(R.T, disc.v)
+        self.nv = float(np.linalg.norm(v_t))
+        self.y_feas = disc.b * v_t / self.nv ** 2
+        _, _, vh = np.linalg.svd(v_t[None, :])
         self.Z = vh[1:].T  # orthonormal null space of the constraint
+        # grid values of the slice point y_feas + Z u are g0 + A u
+        self.A = T @ self.Z
+        self.g0 = T @ self.y_feas
 
     def continuation(self, u_start, kkt_tol):
         u, val, g = u_start, math.inf, math.inf
-        stages = _stage_epsilons(self.p)
+        stages = _EPS_STAGES if self.p < 2 else (0.0,)
         for k, eps in enumerate(stages):
             stage_tol = kkt_tol if k == len(stages) - 1 else 1e-6
             u, val, g = _newton_on_slice(
-                self.T, self.disc.w, self.y_feas, self.Z, self.p,
-                eps * self.disc.b, stage_tol, u,
+                self.A, self.disc.w, self.g0, self.p, eps * self.disc.b, stage_tol, u
             )
         return u, val, g
 
@@ -389,21 +386,21 @@ class _SliceSolver:
         y = self.R @ c
         return self.Z.T @ (y - self.y_feas)
 
-    def exact_gradient_y(self, u):
-        """Unsmoothed gradient; valid for every p >= 1 (|g|^{p-1} bounded)."""
-        y = self.y_feas + self.Z @ u
-        g = self.T @ y
-        rho = self.p * np.sign(g) * np.abs(g) ** (self.p - 1)
-        return self.T.T @ (self.disc.w * rho)
+    def exact_gradient(self, u):
+        """Unsmoothed gradient in y, valid for every p >= 1 (|g|^{p-1}
+        bounded), as its parts along the slice, Z^T grad = A^T (w rho), and
+        along v_t / nv, where T v_t / nv = g0 nv / b."""
+        g = self.g0 + self.A @ u
+        w_rho = self.disc.w * (self.p * np.sign(g) * np.abs(g) ** (self.p - 1))
+        return self.A.T @ w_rho, float(self.g0 @ w_rho) * self.nv / self.disc.b
 
     def kkt_residual(self, u):
-        grad_y = self.exact_gradient_y(u)
-        gn = float(np.linalg.norm(grad_y))
-        vhat = self.v_t / self.nv
-        return float(np.linalg.norm(grad_y - (grad_y @ vhat) * vhat)) / max(gn, 1e-300)
+        along, normal = self.exact_gradient(u)
+        size = float(np.linalg.norm(along))
+        return size / max(math.hypot(size, normal), 1e-300)
 
-    def exact_newton_polish(self, u, zeros_of, deriv_of, max_steps=8):
-        """Final unsmoothed Newton steps for 1 <= p < 2.
+    def exact_newton_polish(self, u, max_steps=8):
+        """Final unsmoothed Newton steps for 1 <= p < 2, polynomial basis.
 
         The smoothed stages leave an O(eps)-bias that residual directions
         through far-out zeros amplify.  Here the gradient uses exact signs;
@@ -413,18 +410,15 @@ class _SliceSolver:
         """
         p, disc = self.p, self.disc
         for _ in range(max_steps):
-            grad_y = self.exact_gradient_y(u)
-            grad_u = self.Z.T @ grad_y
-            y = self.y_feas + self.Z @ u
+            grad_u, _ = self.exact_gradient(u)
             if p == 1.0:
-                c = np.linalg.solve(self.R, y)
-                zeros = zeros_of(c)
-                if not zeros:
+                c = self.coeffs(u)
+                lam = np.asarray(_split_guesses(disc, c))
+                if not lam.size:
                     return u
-                lam = np.asarray(zeros)
                 phi = disc.basis_matrix(lam)
                 e_abs = np.abs(eval_E(disc.problem.spec, lam))
-                fp = np.abs(deriv_of(c, lam))
+                fp = np.abs(_cheb.chebval(lam / disc.scale, _cheb.chebder(c)) / disc.scale)
                 if np.any(fp <= 0):
                     return u
                 col = phi / np.sqrt(fp * e_abs)[:, None]
@@ -432,12 +426,11 @@ class _SliceSolver:
                 H_y = np.linalg.solve(
                     self.R.T, np.linalg.solve(self.R.T, H_c.T).T
                 )
+                H_u = self.Z.T @ H_y @ self.Z
             else:
-                g = self.T @ y
-                absg = np.maximum(np.abs(g), 1e-300)
-                kap = p * (p - 1) * absg ** (p - 2)
-                H_y = self.T.T @ (self.T * (disc.w * kap)[:, None])
-            H_u = self.Z.T @ H_y @ self.Z
+                g = self.g0 + self.A @ u
+                kap = p * (p - 1) * np.maximum(np.abs(g), 1e-300) ** (p - 2)
+                H_u = self.A.T @ (self.A * (disc.w * kap)[:, None])
             try:
                 du = np.linalg.solve(H_u, -grad_u)
             except np.linalg.LinAlgError:
@@ -454,22 +447,19 @@ class _SliceSolver:
         return u
 
 
+def _cheb_split_guesses(c: np.ndarray, scale: float) -> List[float]:
+    """Near-real roots of the Chebyshev series c in x / scale."""
+    return sorted(
+        float(r.real) * scale
+        for r in _cheb_roots(c, 1e-10)
+        if abs(r.imag) <= 1e-3 * (1.0 + abs(r.real))
+    )
+
+
 def _split_guesses(disc: _Discretized, c: np.ndarray) -> List[float]:
     """Real-zero estimates used only to place quadrature splits."""
     if disc.kind == "polynomial":
-        cc = np.asarray(c, dtype=float)
-        top = float(np.max(np.abs(cc)))
-        n = cc.size
-        while n > 1 and abs(cc[n - 1]) <= 1e-10 * top:
-            n -= 1
-        if n <= 1:
-            return []
-        roots = _cheb.chebroots(cc[:n])
-        return sorted(
-            float(r.real) * disc.scale
-            for r in roots
-            if abs(r.imag) <= 1e-3 * (1.0 + abs(r.real))
-        )
+        return _cheb_split_guesses(c, disc.scale)
     return _scan_real_roots(
         lambda x: np.real(disc.coeff_eval(c, x)), disc.problem.window, n_grid=1024
     )
@@ -485,81 +475,64 @@ def solve(problem: ExtremalProblem, seed: Optional[int] = None) -> ExtremalSolut
     the integrand is smooth.  0 < p < 1 is experimental: 8 multistarts, best
     value kept, no uniqueness or separation assertions attach to the result.
     """
-    p, m = problem.p, problem.dimension
-    disc = _Discretized(problem)
-    solver = _SliceSolver(disc, p)
+    p, n_free = problem.p, problem.dimension - 1
     rng = np.random.default_rng(seed)
-    n_free = m - 1
-
-    if n_free == 0:
-        u_best = np.zeros(0)
-        _, val_best, _ = solver.continuation(u_best, problem.kkt_tol)
-    elif p >= 1:
-        u0 = (
-            rng.standard_normal(n_free) * float(np.linalg.norm(solver.y_feas))
-            if seed is not None
-            else np.zeros(n_free)
-        )
-        u_best, val_best, _ = solver.continuation(u0, problem.kkt_tol)
-    else:
-        # experimental range: convexity is lost, multistart and keep the best
+    # |F|^p is not smooth at the zeros of F unless p is an even integer, so
+    # after the unsplit round each round grades its grid toward the previous
+    # round's zeros, until the zeros reach a fixed point: if a split lags the
+    # true sign change, the grid gradient is wrong on the mismatch interval,
+    # which matters most along nearly flat directions (far-out zeros).
+    rounds = 13 if p != 2 * round(p / 2) and n_free > 0 else 1
+    splits, c_star = np.zeros(0), None
+    for k in range(rounds):
+        disc = _Discretized(problem, splits)
+        solver = _SliceSolver(disc, p)
+        if c_star is not None:
+            starts = [solver.warm_start(c_star)]
+        elif (seed is None and p >= 1) or n_free == 0:
+            starts = [np.zeros(n_free)]
+        else:
+            # a seeded start; below p = 1 convexity is lost, so eight of them
+            spread = float(np.linalg.norm(solver.y_feas))
+            starts = [
+                rng.standard_normal(n_free) * spread for _ in range(1 if p >= 1 else 8)
+            ]
         u_best, val_best = None, math.inf
-        for _ in range(8):
-            u0 = rng.standard_normal(n_free) * float(np.linalg.norm(solver.y_feas))
+        for u0 in starts:
             u, val, _ = solver.continuation(u0, problem.kkt_tol)
-            if val < val_best:
+            if val < val_best:  # a non-finite value never displaces a finite one
                 u_best, val_best = u, val
-
-    if not math.isfinite(val_best):
-        raise NonConvergenceError("extremal solver failed to produce a finite value")
-    c_star = solver.coeffs(u_best)
-
-    # polish on kink-graded grids: |F|^p is not smooth at the zeros of F
-    # unless p is an even integer.  Iterate to a fixed point of the zero
-    # locations: if a split lags the true sign change, the grid gradient is
-    # wrong on the mismatch interval, which matters most along nearly flat
-    # directions (far-out zeros).
-    if p != 2 * round(p / 2) and n_free > 0:
-        prev_zeros = None
-        for _ in range(12):
-            splits = _split_guesses(disc, c_star)
-            if not splits:
-                break
-            new_disc = _Discretized(problem, splits=splits)
-            new_solver = _SliceSolver(new_disc, p)
-            u0 = new_solver.warm_start(c_star)
-            u_best, val_best, _ = new_solver.continuation(u0, problem.kkt_tol)
-            if 1.0 <= p < 2.0 and new_disc.kind == "polynomial":
-                scale = new_disc.scale
-
-                def zeros_of(c, d=new_disc):
-                    return _split_guesses(d, c)
-
-                def deriv_of(c, lam, s=scale):
-                    return _cheb.chebval(np.asarray(lam) / s, _cheb.chebder(c)) / s
-
-                u_best = new_solver.exact_newton_polish(u_best, zeros_of, deriv_of)
-            c_star = new_solver.coeffs(u_best)
-            disc, solver = new_disc, new_solver
-            zeros_now = np.asarray(_split_guesses(disc, c_star))
-            if prev_zeros is not None and zeros_now.size == prev_zeros.size:
-                drift = np.max(
-                    np.abs(zeros_now - prev_zeros) / (1.0 + np.abs(zeros_now))
-                ) if zeros_now.size else 0.0
-                if drift <= 1e-10:
-                    break
-            prev_zeros = zeros_now
+        if not math.isfinite(val_best):
+            raise NonConvergenceError("extremal solver failed to produce a finite value")
+        if k > 0 and 1.0 <= p < 2.0 and disc.kind == "polynomial":
+            u_best = solver.exact_newton_polish(u_best)
+        c_star = solver.coeffs(u_best)
+        if k == rounds - 1:
+            break
+        zeros = np.asarray(_split_guesses(disc, c_star))
+        if not zeros.size or (
+            zeros.size == len(splits)
+            and np.max(np.abs(zeros - splits) / (1.0 + np.abs(zeros))) <= 1e-10
+        ):
+            break
+        splits = zeros
 
     kkt = solver.kkt_residual(u_best)
     if p >= 1 and kkt > max(10 * problem.kkt_tol, 1e-6):
         raise NonConvergenceError(f"KKT residual {kkt} above tolerance")
 
-    zeros = _extract_zeros_from_coeffs(disc, c_star)
+    zeros = _real_zeros(
+        disc.kind,
+        c_star,
+        disc.scale,
+        lambda x: disc.coeff_eval(c_star, x),
+        problem.window,
+    )
 
-    # exact norm of the unscaled optimum, with panels split at the zeros
-    def ratio_pow(x):
-        val = np.real(disc.coeff_eval(c_star, x))
-        return np.abs(val / np.abs(eval_E(problem.spec, x))) ** p
+    def ratio_pow(c):
+        return lambda x: np.abs(
+            np.real(disc.coeff_eval(c, x)) / np.abs(eval_E(problem.spec, x))
+        ) ** p
 
     domain = None if disc.kind == "polynomial" else problem.window
     splits = list(zeros) if p < 2 else []
@@ -568,17 +541,13 @@ def solve(problem: ExtremalProblem, seed: Optional[int] = None) -> ExtremalSolut
         mapping="arctangent-map-to-line" if domain is None else "compact-interval",
         max_refinements=8,
     )
-    res = integrate(ratio_pow, domain, norm_scheme, singular_points=splits)
+    # exact norm of the unscaled optimum, with panels split at the zeros
+    res = integrate(ratio_pow(c_star), domain, norm_scheme, singular_points=splits)
     norm_p = res.value ** (1.0 / p)
     c_final = c_star / norm_p
     C_value = 1.0 / norm_p
-
     # residual of ||f/E||_p = 1 after rescaling, re-measured independently
-    def unit_ratio_pow(x):
-        val = np.real(disc.coeff_eval(c_final, x))
-        return np.abs(val / np.abs(eval_E(problem.spec, x))) ** p
-
-    unit = integrate(unit_ratio_pow, domain, norm_scheme, singular_points=splits)
+    unit = integrate(ratio_pow(c_final), domain, norm_scheme, singular_points=splits)
     norm_residual = abs(unit.value ** (1.0 / p) - 1.0)
 
     if disc.kind == "polynomial":
@@ -588,7 +557,7 @@ def solve(problem: ExtremalProblem, seed: Optional[int] = None) -> ExtremalSolut
         extra = {"_cheb": c_final, "_cheb_scale": disc.scale}
     else:
         coefficients = np.real(c_final)
-        extra = {"_kernel_nodes": problem.basis.nodes}
+        extra = {"_kernels": disc.kernels}
 
     provisional = ExtremalSolution(
         p=p,
@@ -624,35 +593,31 @@ def _min_gap(zeros: Sequence[float]) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _extract_zeros_from_coeffs(disc: _Discretized, c: np.ndarray) -> List[float]:
-    if disc.kind == "polynomial":
-        return _cheb_real_roots(np.asarray(c, dtype=float), disc.scale)
-    return _scan_real_roots(
-        lambda x: np.real(disc.coeff_eval(c, x)), disc.problem.window
-    )
-
-
-def _cheb_real_roots(c: np.ndarray, scale: float, imag_tol: float = 1e-8) -> List[float]:
+def _cheb_roots(c: np.ndarray, trim: float) -> np.ndarray:
+    """Roots of a Chebyshev series, without its trailing coefficients of at
+    most trim * max |c|: rounding noise there would inject spurious huge roots."""
     cc = np.asarray(c, dtype=float)
     top = float(np.max(np.abs(cc))) if cc.size else 0.0
-    if top == 0.0:
-        return []
-    # trailing rounding noise would inject spurious huge roots
     n = cc.size
-    while n > 1 and abs(cc[n - 1]) <= 1e-12 * top:
+    while n > 1 and abs(cc[n - 1]) <= trim * top:
         n -= 1
-    cc = cc[:n]
-    if cc.size <= 1:
-        return []
-    roots = _cheb.chebroots(cc)
-    bad = [r for r in roots if abs(r.imag) > imag_tol * (1.0 + abs(r.real))]
+    return _cheb.chebroots(cc[:n]) if n > 1 else np.zeros(0)
+
+
+def _real_zeros(kind: str, cheb, scale: float, evaluate, window) -> List[float]:
+    """Sorted real zeros of a candidate: the roots of its Chebyshev series in
+    x / scale (a complex root raises ComplexZeroError), or for kernel sums the
+    sign changes of evaluate on the window."""
+    if kind != "polynomial":
+        return _scan_real_roots(lambda x: np.real(evaluate(x)), window)
+    roots = _cheb_roots(cheb, 1e-12)
+    bad = [r for r in roots if abs(r.imag) > 1e-8 * (1.0 + abs(r.real))]
     if bad:
         raise ComplexZeroError(
             f"complex zeros {bad}: a true optimum has only real simple zeros, "
             "so the solver has not converged"
         )
-    out = sorted(float(r.real) * scale for r in roots)
-    return out
+    return sorted(float(r.real) * scale for r in roots)
 
 
 def _scan_real_roots(f, window, n_grid: int = 4096) -> List[float]:
@@ -685,10 +650,9 @@ def extract_zeros(sol: ExtremalSolution, problem: ExtremalProblem) -> np.ndarray
     asserted through a strictly positive minimum gap and a derivative at
     each root that does not vanish against |f| within unit distance of it.
     """
-    if sol.basis_kind == "polynomial":
-        zeros = _cheb_real_roots(np.asarray(sol._cheb), sol._cheb_scale)
-    else:
-        zeros = _scan_real_roots(lambda x: np.real(sol.eval(x)), problem.window)
+    zeros = _real_zeros(
+        sol.basis_kind, sol._cheb, sol._cheb_scale, sol.eval, problem.window
+    )
     if len(zeros) >= 2 and _min_gap(zeros) <= 0.0:
         raise ComplexZeroError("repeated zero detected; zeros must be simple")
     if zeros:
@@ -933,7 +897,9 @@ def symmetrize_real(coefficients: Sequence[complex], sigma: float) -> np.ndarray
 
     g = (e^{-i sigma/2} f + e^{i sigma/2} f#) / 2 has coefficients
     Re(e^{-i sigma/2} c), satisfies g = g#, and |g| <= |f| pointwise on the
-    real axis.
+    real axis.  It is the reduction behind `solve`'s real coefficients: with
+    e^{-i sigma/2} f(xi) = |f(xi)|, g keeps the value at xi and does not
+    raise ||f/E||_p, so real entire candidates suffice.
     """
     c = np.asarray(list(coefficients), dtype=complex)
     return np.real(np.exp(-1j * sigma / 2.0) * c)

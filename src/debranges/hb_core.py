@@ -21,7 +21,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .numerics import golden_max, monotone_solve
+from .numerics import monotone_solve, sup_on_window
 
 __all__ = [
     "SpecError",
@@ -282,24 +282,16 @@ def phase_derivative_sup(spec: HBSpec) -> PhaseSup:
     if spec.degree == 0:
         return PhaseSup(2.0 * spec.exp_rate, None)
     xs, ys = _zero_data(spec)
-
-    def h(t):
-        return phase_derivative(spec, t)
-
-    best_v, best_x = -math.inf, 0.0
-    windows = [(x - 3.0 * y, x + 3.0 * y, y) for x, y in zip(xs, ys)]
-    # a hull grid guards against maxima falling between bump windows
-    hull = (float(np.min(xs - 3.0 * ys)), float(np.max(xs + 3.0 * ys)))
-    grids = [np.linspace(a, b, 64) for a, b, _ in windows]
-    grids.append(np.linspace(hull[0], hull[1], 256))
-    for g in grids:
-        vals = h(g)
-        i = int(np.argmax(vals))
-        a = g[max(i - 1, 0)]
-        b = g[min(i + 1, g.size - 1)]
-        v, x = golden_max(lambda t: phase_derivative(spec, t), a, b, tol=1e-14)
-        if v > best_v:
-            best_v, best_x = v, x
+    scans = [((x - 3.0 * y, x + 3.0 * y), 64) for x, y in zip(xs, ys)]
+    # a hull scan guards against maxima falling between bump windows
+    scans.append(((float(np.min(xs - 3.0 * ys)), float(np.max(xs + 3.0 * ys))), 256))
+    best_v, best_x = max(
+        (
+            sup_on_window(lambda t: phase_derivative(spec, t), w, n, refine_tol=1e-14)
+            for w, n in scans
+        ),
+        key=lambda vx: vx[0],
+    )
     return PhaseSup(float(best_v), float(best_x))
 
 
@@ -581,17 +573,19 @@ class Kernel(StructuredEntire):
             raise SpecError("kernel node must be finite")
         self.spec = spec
         self.t = float(t)
+        # E(t), E#(t) and the numerator jet depend on t alone: once per kernel
+        self._et = complex(eval_E(spec, self.t))
+        self._ets = complex(eval_E(spec, self.t, conjugate=True))
+        self._jet = self._numerator_jet()
 
     def diagonal(self) -> float:
         """K_t(t) = (1/2 pi) |E(t)|^2 phi'(t)."""
-        e = eval_E(self.spec, self.t)
-        return abs(e) ** 2 * phase_derivative(self.spec, self.t) / (2 * math.pi)
+        return abs(self._et) ** 2 * phase_derivative(self.spec, self.t) / (2 * math.pi)
 
     def _numerator_jet(self):
         """(N', N'', N''') of N(z) = E(z) conj(E(t)) - E#(z) conj(E#(t)) at t."""
         out = []
-        for conjugate in (False, True):
-            e = complex(eval_E(self.spec, self.t, conjugate=conjugate))
+        for conjugate, e in ((False, self._et), (True, self._ets)):
             roots = (
                 np.conj(np.array(self.spec.zeros))
                 if conjugate
@@ -606,20 +600,17 @@ class Kernel(StructuredEntire):
                 (e * l1, e * (l1 * l1 + l2), e * (l1 ** 3 + 3 * l1 * l2 + l3))
             )
         (e1, e2, e3), (s1, s2, s3) = out
-        ct = np.conj(complex(eval_E(self.spec, self.t)))
-        cts = np.conj(complex(eval_E(self.spec, self.t, conjugate=True)))
+        ct, cts = np.conj(self._et), np.conj(self._ets)
         return (e1 * ct - s1 * cts, e2 * ct - s2 * cts, e3 * ct - s3 * cts)
 
     def eval(self, z):
         zz = np.asarray(z, dtype=complex)
-        et = complex(eval_E(self.spec, self.t))
-        ets = complex(eval_E(self.spec, self.t, conjugate=True))
-        num = eval_E(self.spec, zz) * np.conj(et) - eval_E(
+        num = eval_E(self.spec, zz) * np.conj(self._et) - eval_E(
             self.spec, zz, conjugate=True
-        ) * np.conj(ets)
+        ) * np.conj(self._ets)
         den = 2j * math.pi * (self.t - zz)
         near = np.abs(zz - self.t) < self._DIAGONAL_WINDOW * (1.0 + abs(self.t))
-        n1, n2, n3 = self._numerator_jet()
+        n1, n2, n3 = self._jet
         u = zz - self.t
         taylor = -(n1 + n2 * u / 2.0 + n3 * u * u / 6.0) / (2j * math.pi)
         out = np.where(near, taylor, num / np.where(near, 1.0, den))
@@ -638,11 +629,9 @@ class Kernel(StructuredEntire):
     def poly_coeffs(self, ambient: HBSpec) -> np.ndarray:
         if not self.spec.is_polynomial:
             raise ValueError("not polynomial-type")
-        et = complex(eval_E(self.spec, self.t))
-        ets = complex(eval_E(self.spec, self.t, conjugate=True))
-        num = np.conj(et) * _e_poly_coeffs(self.spec) - np.conj(ets) * _e_poly_coeffs(
-            self.spec, conjugate=True
-        )
+        num = np.conj(self._et) * _e_poly_coeffs(self.spec) - np.conj(
+            self._ets
+        ) * _e_poly_coeffs(self.spec, conjugate=True)
         # numerator vanishes at t; deflate by (z - t) via Horner division
         q, rem = _deflate(num, self.t)
         if abs(rem) > 1e-10 * (1.0 + float(np.max(np.abs(num)))):

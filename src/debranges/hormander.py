@@ -35,7 +35,7 @@ from .hb_core import (
     same_de_branges_space,
     solve_phase_level,
 )
-from .numerics import golden_max
+from .numerics import golden_max, sup_on_window
 
 __all__ = [
     "BracketUnavailableError",
@@ -105,14 +105,18 @@ def _rotation_candidates(f: RotationRealPart, spec: HBSpec) -> List[_Candidate]:
     """Extremal points of |A_beta / E|: the zeros of B_beta nearest 0.
 
     |A_beta/E| = |cos(beta - phi/2)| <= 1 with equality exactly on the phase
-    level 2*beta (mod 2 pi); at the k-th level crossing the sign of A_beta is
-    (-1)^k relative to the level 2*beta + 2 pi k.
+    level 2*beta (mod 2 pi); at the crossing of the level 2*beta + 2 pi k the
+    sign of A_beta is (-1)^k times a sign fixed by the spec.
     """
     beta_rel = f.beta + f.spec.rotation - spec.rotation
     profile = PhaseProfile(spec)
     lo_lim, hi_lim = phase_limits(profile)
     two_pi = 2 * math.pi
     k0 = round((phase(profile, 0.0) - 2 * beta_rel) / two_pi)
+    # A_beta = |E| cos(beta_rel + arg E) with arg E = rotation + N pi/2 -
+    # (phi - offset)/2, i.e. |E| cos(pi (j - k)) on the level, for the integer
+    # j below; reading the sign off E itself overflows at far crossings
+    j = round((profile.offset + 2 * spec.rotation + spec.degree * math.pi) / two_pi)
     out: List[_Candidate] = []
     # the seven levels around phi(0): callers take the crossings nearest 0
     for k in range(k0 - 3, k0 + 4):
@@ -120,9 +124,7 @@ def _rotation_candidates(f: RotationRealPart, spec: HBSpec) -> List[_Candidate]:
         if not lo_lim < level < hi_lim:
             continue
         x = solve_phase_level(profile, level, 0.0)
-        # |f(x)| = |E(x)| at a crossing, so the sign read-off is clean
-        sgn = 1 if float(np.real(f.eval(x))) >= 0 else -1
-        out.append(_Candidate(x=x, value=1.0, sign=sgn))
+        out.append(_Candidate(x=x, value=1.0, sign=1 if (j - k) % 2 == 0 else -1))
     if not out:
         raise MaxAtInfinityError(
             "B_beta has no real zeros: |f/E| approaches its supremum only at "
@@ -550,14 +552,10 @@ def _verify(
 
     xs = np.linspace(lo, hi, n_grid)
     raw = raw_margin(xs)
-    scaled = scaled_margin(xs)
-    i = int(np.argmin(scaled))
-    a = xs[max(i - 1, 0)]
-    b = xs[min(i + 1, n_grid - 1)]
-    neg_best, worst_x = golden_max(
-        lambda t: -float(scaled_margin(np.array([t]))[0]), a, b, tol=1e-13
+    neg_worst, worst_x = sup_on_window(
+        lambda x: -scaled_margin(x), (lo, hi), coarse=n_grid, refine_tol=1e-13
     )
-    min_scaled = min(float(np.min(scaled)), -neg_best)
+    min_scaled = -neg_worst
     min_raw = min(
         float(np.min(raw)), float(raw_margin(np.array([worst_x]))[0])
     )

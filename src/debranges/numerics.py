@@ -66,7 +66,6 @@ class QuadratureScheme:
 
 
 DEFAULT_SCHEME = QuadratureScheme()
-LINE_SCHEME = QuadratureScheme(mapping="arctangent-map-to-line")
 
 
 @dataclass(frozen=True)
@@ -196,7 +195,9 @@ def log_gamma(x: float) -> float:
     """Natural log of Gamma(x) for x > 0.
 
     Backed by the C library's lgamma (relative error at the few-ulp level,
-    well inside 1e-13); reflection is never needed on this domain.
+    well inside 1e-13); reflection is never needed on this domain.  It exists
+    so that the Beta/Gamma closed forms of K(p) and of the separation
+    constants reject x <= 0, where lgamma returns log |Gamma| without a sign.
     """
     if not x > 0:
         raise ValueError(f"log_gamma requires x > 0, got {x}")
@@ -218,7 +219,8 @@ def monotone_solve(
     maintained, so the hybrid cannot escape.  As in Numerical Recipes'
     rtsafe, a Newton step is taken only if it stays inside the bracket and
     is under half the step before last; otherwise Newton can cycle between
-    two points across an inflection.  tol is an x-space tolerance.
+    two points across an inflection.  tol is an x-space tolerance; a bracket
+    still wider than tol after max_iter steps raises NonConvergenceError.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if lo > hi:
@@ -234,10 +236,14 @@ def monotone_solve(
         return lo
     if ghi <= 0.0:
         return hi
+
+    def converged():
+        return hi - lo <= tol * (1.0 + abs(lo) + abs(hi))
+
     x = 0.5 * (lo + hi)
     last_step = step_before = hi - lo
     for _ in range(max_iter):
-        if hi - lo <= tol * (1.0 + abs(lo) + abs(hi)):
+        if converged():
             break
         gx = g(x) - target
         if gx == 0.0:
@@ -256,6 +262,10 @@ def monotone_solve(
         x_next = x_new if x_new is not None else 0.5 * (lo + hi)
         step_before, last_step = last_step, abs(x_next - x)
         x = x_next
+    if not converged():
+        raise NonConvergenceError(
+            f"bracket ({lo}, {hi}) still wider than tol={tol} after {max_iter} steps"
+        )
     return 0.5 * (lo + hi)
 
 

@@ -212,9 +212,8 @@ class TestOrthogonality:
         pert = np.asarray(sol._cheb) * (1.0 + 0.01 * rng.uniform(-1, 1, size=len(sol._cheb)))
         import debranges.extremal as X
 
-        zeros = X._split_guesses(X._Discretized(prob), pert)
-        fake = dataclasses.replace(sol, zeros=tuple(zeros))
-        object.__setattr__(fake, "_cheb", pert)
+        zeros = X._cheb_split_guesses(pert, sol._cheb_scale)
+        fake = dataclasses.replace(sol, zeros=tuple(zeros), _cheb=pert)
         vals = [
             abs(orthogonality_residual(fake, prob, (zeros[i], zeros[i + 1])))
             for i in range(len(zeros) - 1)

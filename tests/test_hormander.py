@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from debranges.hormander import (
     BracketUnavailableError,
     MaxAtInfinityError,
     WrongSignError,
+    _rotation_candidates,
     bracket_A_zeros,
     bracket_B_zeros,
     local_expansion_check,
@@ -78,6 +80,28 @@ class TestLocateExtremum:
         vals = np.abs(np.real(f.eval(xs))) / np.abs(eval_E(THREE, xs))
         assert norm > 2.0
         assert abs(norm - float(np.max(vals))) <= 1e-9
+
+    def test_far_rotation_crossing_signs_alternate(self):
+        # 100 zeros near x = +30 put a crossing at x = -1482.7, where E
+        # overflows: a sign read off A_beta there came out NaN, i.e. -1
+        rng = np.random.default_rng(1)
+        for _ in range(21):
+            spec = HBSpec(
+                zeros=tuple(
+                    complex(30 + rng.uniform(-1, 1), rng.uniform(-3, -0.1))
+                    for _ in range(100)
+                )
+            )
+            beta = float(rng.uniform(0, math.pi))
+        f = RotationRealPart(spec, beta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            cands = sorted(_rotation_candidates(f, spec), key=lambda c: c.x)
+        assert cands[0].x < -1000
+        signs = [c.sign for c in cands]
+        assert all(a == -b for a, b in zip(signs, signs[1:]))
+        for c in cands[1:]:
+            assert c.sign * float(np.real(f.eval(c.x))) > 0
 
     def test_kernel_argmax(self, rng):
         spec = make_random_spec(rng, 3, 8)

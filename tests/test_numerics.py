@@ -5,6 +5,7 @@ import pytest
 
 from debranges.numerics import (
     BracketError,
+    NonConvergenceError,
     QuadratureScheme,
     golden_max,
     integrate,
@@ -95,6 +96,11 @@ class TestMonotoneSolve:
     def test_bracket_violation(self):
         with pytest.raises(BracketError):
             monotone_solve(lambda x: x, 10.0, (0.0, 1.0))
+
+    def test_exhausted_budget_raises(self):
+        # three bisection steps leave a width-1e6 bracket far wider than tol
+        with pytest.raises(NonConvergenceError):
+            monotone_solve(lambda x: x, 0.3, (0.0, 1e6), max_iter=3)
 
     def test_newton_does_not_cycle(self):
         # a three-zero phase whose plain in-bracket Newton steps ping-pong
