@@ -453,9 +453,8 @@ def _perturbed_residual(prob, sol, rng) -> float:
         if len(zeros) < 2:
             continue
         fake = dataclasses.replace(sol, zeros=tuple(zeros), _cheb=pert)
-        for i in range(len(zeros) - 1):
-            r = X.orthogonality_residual(fake, prob, (zeros[i], zeros[i + 1]))
-            best = max(best, abs(r))
+        resids = X._orthogonality_residuals(fake, prob, zip(zeros, zeros[1:]))
+        best = max([best, *map(abs, resids)])
         if best > 1e-3:
             break
     return best

@@ -18,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
@@ -31,7 +31,13 @@ from .hb_core import (
     phase_bracket,
     phase_derivative_sup,
 )
-from .numerics import NonConvergenceError, QuadratureScheme, integrate, log_gamma
+from .numerics import (
+    NonConvergenceError,
+    QuadratureScheme,
+    _integrate_batch,
+    integrate,
+    log_gamma,
+)
 
 __all__ = [
     "PolynomialBasis",
@@ -347,6 +353,12 @@ def _newton_on_slice(A, w, g0, p, eps, tol, u0, max_iter=120):
     return u, val, gnorm
 
 
+def _kkt(along, normal) -> float:
+    """Relative size of the slice part of the exact gradient."""
+    size = float(np.linalg.norm(along))
+    return size / max(math.hypot(size, normal), 1e-300)
+
+
 class _SliceSolver:
     """QR-preconditioned damped Newton on one discretization."""
 
@@ -395,9 +407,7 @@ class _SliceSolver:
         return self.A.T @ w_rho, float(self.g0 @ w_rho) * self.nv / self.disc.b
 
     def kkt_residual(self, u):
-        along, normal = self.exact_gradient(u)
-        size = float(np.linalg.norm(along))
-        return size / max(math.hypot(size, normal), 1e-300)
+        return _kkt(*self.exact_gradient(u))
 
     def exact_newton_polish(self, u, max_steps=8):
         """Final unsmoothed Newton steps for 1 <= p < 2, polynomial basis.
@@ -409,8 +419,9 @@ class _SliceSolver:
         |g|^{p-2} weight for 1 < p < 2.
         """
         p, disc = self.p, self.disc
+        grad = self.exact_gradient(u)
         for _ in range(max_steps):
-            grad_u, _ = self.exact_gradient(u)
+            grad_u = grad[0]
             if p == 1.0:
                 c = self.coeffs(u)
                 lam = np.asarray(_split_guesses(disc, c))
@@ -438,8 +449,9 @@ class _SliceSolver:
             if not np.all(np.isfinite(du)):
                 return u
             u_new = u + du
-            if self.kkt_residual(u_new) <= self.kkt_residual(u):
-                u = u_new
+            grad_new = self.exact_gradient(u_new)
+            if _kkt(*grad_new) <= _kkt(*grad):
+                u, grad = u_new, grad_new
             else:
                 break
             if float(np.linalg.norm(du)) <= 1e-14 * (1.0 + float(np.linalg.norm(u))):
@@ -574,10 +586,7 @@ def solve(problem: ExtremalProblem, seed: Optional[int] = None) -> ExtremalSolut
         basis_kind=disc.kind,
         **extra,
     )
-    resids = tuple(
-        orthogonality_residual(provisional, problem, (zeros[i], zeros[i + 1]))
-        for i in range(len(zeros) - 1)
-    )
+    resids = _orthogonality_residuals(provisional, problem, zip(zeros, zeros[1:]))
     return dataclasses.replace(provisional, orthogonality_residuals=resids)
 
 
@@ -684,45 +693,64 @@ def orthogonality_residual(
     denominator in absolute value.  Quadrature panels are split at the zeros
     of f (the integrand has |x - lambda|^{p-1} kinks there).
     """
-    la, lb = float(r_numerator_zeros[0]), float(r_numerator_zeros[1])
+    return _orthogonality_residuals(sol, problem, [r_numerator_zeros])[0]
+
+
+def _orthogonality_residuals(
+    sol: ExtremalSolution,
+    problem: ExtremalProblem,
+    pairs: Iterable[Tuple[float, float]],
+) -> Tuple[float, ...]:
+    """orthogonality_residual of each zero pair, all on one quadrature grid.
+
+    The pair-independent weight (x-xi)^2 |f|^p / |E|^p is evaluated once per
+    block of nodes, and each pair's absolute and signed sums are taken from
+    it; panels are split at the zeros of f and at every pair's endpoints.
+    """
+    pairs = [(float(la), float(lb)) for la, lb in pairs]
+    if not pairs:
+        return ()
     p, spec, xi = sol.p, sol.spec, sol.xi
 
-    def common(x):
+    def integrands(x, active):
+        # integrand 2i is pair i's absolute integral, 2i + 1 its signed one
         fx = np.abs(np.real(sol.eval(x)))
-        e = np.abs(eval_E(spec, x))
-        da = x - la
-        db = x - lb
-        base = (x - xi) ** 2 * fx ** p / e ** p
-        # the integrand is bounded at the simple zeros (|x-l|^{p-1} with
-        # p >= 1); mask nodes that hit them exactly to dodge 0/0
-        ok = (da != 0.0) & (db != 0.0)
-        return np.where(ok, base, 0.0), np.where(ok, da, 1.0), np.where(ok, db, 1.0)
-
-    def signed(x):
-        base, da, db = common(x)
-        return base / (da * db)
-
-    def absolute(x):
-        base, da, db = common(x)
-        return base / np.abs(da * db)
+        base = (x - xi) ** 2 * fx ** p / np.abs(eval_E(spec, x)) ** p
+        last = None
+        for j in active:
+            i, signed = divmod(j, 2)
+            if i != last:
+                da, db = x - pairs[i][0], x - pairs[i][1]
+                # the integrand is bounded at the simple zeros (|x-l|^{p-1}
+                # with p >= 1); mask nodes that hit them exactly to dodge 0/0
+                ok = (da != 0.0) & (db != 0.0)
+                masked = np.where(ok, base, 0.0)
+                dadb = np.where(ok, da, 1.0) * np.where(ok, db, 1.0)
+                last = i
+            yield masked / dadb if signed else masked / np.abs(dadb)
 
     domain = None if sol.basis_kind == "polynomial" else problem.window
-    splits = sorted(set(sol.zeros) | {la, lb})
+    splits = sorted(set(sol.zeros).union(*pairs))
     # the signed integral sits orders below the absolute one; chasing machine
-    # precision on it only grinds against the cancellation noise floor
+    # precision on it only grinds against the cancellation noise floor, so
+    # its convergence is judged against the absolute integral
     scheme = QuadratureScheme(
         panels=8,
         mapping="arctangent-map-to-line" if domain is None else "compact-interval",
         target_rel_error=1e-9,
         max_refinements=6,
     )
-    den = integrate(absolute, domain, scheme, singular_points=splits)
-    num = integrate(
-        signed, domain, scheme, singular_points=splits, scale_hint=den.value
+    m = 2 * len(pairs)
+    res = _integrate_batch(
+        integrands, m, domain, scheme, splits,
+        partners=[j - 1 if j % 2 else None for j in range(m)],
     )
-    if den.value <= 0:
-        raise ArithmeticError("degenerate normalization integral")
-    return float(num.value / den.value)
+    out = []
+    for den, num in zip(res[0::2], res[1::2]):
+        if den.value <= 0:
+            raise ArithmeticError("degenerate normalization integral")
+        out.append(float(num.value / den.value))
+    return tuple(out)
 
 
 @dataclass(frozen=True)

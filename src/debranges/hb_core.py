@@ -58,6 +58,10 @@ __all__ = [
 # Beyond this many zeros the plain complex product risks harmless but ugly
 # intermediate overflow; switch to log-magnitude accumulation.
 _PLAIN_PRODUCT_LIMIT = 64
+# Entries of the points x zeros difference block that the plain product holds
+# at once (512 KB); a refined quadrature grid of 131,072 points and 12 zeros
+# in one block would take 25 MB.
+_PRODUCT_BLOCK = 1 << 15
 
 
 class SpecError(ValueError):
@@ -149,7 +153,19 @@ def eval_E(spec: HBSpec, z, conjugate: bool = False):
     if spec.degree == 0:
         out = head
     elif spec.degree <= _PLAIN_PRODUCT_LIMIT:
-        out = head * np.prod(zz[..., None] - roots, axis=-1)
+        # a large input goes in blocks of points, so the points x zeros
+        # differences never exceed _PRODUCT_BLOCK entries; every point's
+        # product is the same bits either way
+        step = max(1, _PRODUCT_BLOCK // spec.degree)
+        if zz.size <= step:
+            prod = np.multiply.reduce(zz[..., None] - roots, axis=-1)
+        else:
+            flat, prod = zz.reshape(-1), np.empty(zz.size, dtype=complex)
+            for i in range(0, zz.size, step):
+                block = flat[i : i + step, None] - roots
+                np.multiply.reduce(block, axis=-1, out=prod[i : i + step])
+            prod = prod.reshape(zz.shape)
+        out = head * prod
     else:
         diffs = zz[..., None] - roots
         logmag = (

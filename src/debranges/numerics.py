@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -87,21 +87,6 @@ def _gl_rule(n: int):
     return nodes, weights
 
 
-def _panel_sum(f, edges: np.ndarray, n_nodes: int) -> float:
-    nodes, weights = _gl_rule(n_nodes)
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    # vectorized over panels, in blocks so refined grids stay within memory
-    block = max(1, 262144 // n_nodes)
-    total = 0.0
-    for i in range(0, half.size, block):
-        h = half[i : i + block]
-        x = mid[i : i + block, None] + h[:, None] * nodes[None, :]
-        fx = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
-        total += float(np.sum(fx * weights[None, :] * h[:, None]))
-    return total
-
-
 def _halve(edges: np.ndarray) -> np.ndarray:
     mids = 0.5 * (edges[:-1] + edges[1:])
     out = np.empty(edges.size + mids.size)
@@ -140,6 +125,99 @@ def _graded_edges(a: float, b: float, panels: int, singular: Sequence[float]) ->
     return arr[np.concatenate(([True], np.diff(arr) > 0.0))]
 
 
+def _panel_sums(integrands, edges, n_nodes, active, line):
+    """Gauss-Legendre sums of the active integrands over the panels between
+    edges; on the line, nodes are theta and the integrands see x = tan(theta)."""
+    nodes, weights = _gl_rule(n_nodes)
+    half = 0.5 * np.diff(edges)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    # vectorized over panels, in blocks so refined grids stay within memory
+    block = max(1, 262144 // n_nodes)
+    totals = [0.0] * len(active)
+    for i in range(0, half.size, block):
+        h = half[i : i + block]
+        t = mid[i : i + block, None] + h[:, None] * nodes[None, :]
+        x = t.ravel()
+        if line:
+            x, jac = np.tan(x), np.cos(x) ** 2
+        for slot, fx in enumerate(integrands(x, active)):
+            if line:
+                fx = np.asarray(fx) / jac
+            fx = np.asarray(fx, dtype=float).reshape(t.shape)
+            totals[slot] += float(np.sum(fx * weights[None, :] * h[:, None]))
+    return totals
+
+
+def _settle(sums: List[float], hint: float, tol: float, final: bool):
+    """The result at the first halving whose change is within tol of
+    max(|value|, hint); the last level, unconverged, once final; else None."""
+    for k in range(1, len(sums)):
+        err = abs(sums[k] - sums[k - 1])
+        if err <= tol * max(abs(sums[k]), hint):
+            return IntegralResult(sums[k], err, True, k)
+    if not final:
+        return None
+    err = abs(sums[-1] - sums[-2]) if len(sums) > 1 else math.inf
+    return IntegralResult(sums[-1], err, False, len(sums) - 1)
+
+
+def _integrate_batch(
+    integrands: Callable[[np.ndarray, List[int]], Iterable[np.ndarray]],
+    m: int,
+    domain: Optional[Tuple[float, float]],
+    scheme: Optional[QuadratureScheme] = None,
+    singular_points: Iterable[float] = (),
+    scale_hint: float = 0.0,
+    partners: Optional[Sequence[Optional[int]]] = None,
+) -> List[IntegralResult]:
+    """Integrate m real integrands on one shared, panel-doubled grid.
+
+    integrands(x, active) yields the values at the nodes x of the integrands
+    listed in active, one array at a time and in that order, so work common
+    to them is done once per block of nodes.  Each integrand stops at the
+    level, and with the value, that integrate would give it alone: its scale
+    hint is scale_hint or, where partners[j] is set (an index below j), the
+    final value of that integrand.  Only per-level sums are kept.
+    """
+    scheme = scheme or DEFAULT_SCHEME
+    whole_line = domain is None or (
+        math.isinf(domain[0]) and math.isinf(domain[1])
+    )
+    line = whole_line or scheme.mapping == "arctangent-map-to-line"
+    if line:
+        if domain is not None and not whole_line:
+            raise ValueError("line mapping requires an unbounded domain")
+        a, b = -math.pi / 2, math.pi / 2
+        sing = [math.atan(s) for s in singular_points]
+    else:
+        a, b = domain
+        if not (math.isfinite(a) and math.isfinite(b) and a < b):
+            raise ValueError(f"invalid domain ({a}, {b})")
+        sing = list(singular_points)
+    partners = partners or [None] * m
+
+    edges = _graded_edges(a, b, scheme.panels, sing)
+    sums: List[List[float]] = [[] for _ in range(m)]
+    results: List[Optional[IntegralResult]] = [None] * m
+    for level in range(scheme.max_refinements + 1):
+        active = [j for j in range(m) if results[j] is None]
+        if not active:
+            break
+        if level:
+            edges = _halve(edges)
+        totals = _panel_sums(integrands, edges, scheme.nodes_per_panel, active, line)
+        for j, total in zip(active, totals):
+            sums[j].append(total)
+        final = level == scheme.max_refinements
+        for j in active:
+            ref = partners[j]
+            if ref is not None and results[ref] is None:
+                continue  # settles once its partner has
+            hint = scale_hint if ref is None else results[ref].value
+            results[j] = _settle(sums[j], hint, scheme.target_rel_error, final)
+    return results
+
+
 def integrate(
     f: Callable[[np.ndarray], np.ndarray],
     domain: Optional[Tuple[float, float]],
@@ -156,39 +234,9 @@ def integrate(
     composite rule keeps its accuracy.  The error estimate comes from panel
     doubling; convergence is judged relative to max(|value|, scale_hint).
     """
-    scheme = scheme or DEFAULT_SCHEME
-    whole_line = domain is None or (
-        math.isinf(domain[0]) and math.isinf(domain[1])
-    )
-    if whole_line or scheme.mapping == "arctangent-map-to-line":
-        if domain is not None and not whole_line:
-            raise ValueError("line mapping requires an unbounded domain")
-
-        def g(t):
-            x = np.tan(t)
-            return np.asarray(f(x)) / np.cos(t) ** 2
-
-        a, b = -math.pi / 2, math.pi / 2
-        sing = [math.atan(s) for s in singular_points]
-        fun = g
-    else:
-        a, b = domain
-        if not (math.isfinite(a) and math.isfinite(b) and a < b):
-            raise ValueError(f"invalid domain ({a}, {b})")
-        sing = list(singular_points)
-        fun = f
-
-    edges = _graded_edges(a, b, scheme.panels, sing)
-    value = _panel_sum(fun, edges, scheme.nodes_per_panel)
-    err = math.inf
-    for k in range(scheme.max_refinements):
-        edges = _halve(edges)
-        new = _panel_sum(fun, edges, scheme.nodes_per_panel)
-        err = abs(new - value)
-        value = new
-        if err <= scheme.target_rel_error * max(abs(value), scale_hint):
-            return IntegralResult(value, err, True, k + 1)
-    return IntegralResult(value, err, False, scheme.max_refinements)
+    return _integrate_batch(
+        lambda x, active: [f(x)], 1, domain, scheme, singular_points, scale_hint
+    )[0]
 
 
 def log_gamma(x: float) -> float:

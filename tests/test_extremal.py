@@ -230,6 +230,48 @@ class TestOrthogonality:
         assert r > 0.1  # normalized: integrand equals its absolute value
 
 
+class TestSharedResidualGrid:
+    @pytest.mark.parametrize("kind", ["polynomial", "kernel"])
+    def test_solve_residuals_equal_pairwise_calls(self, kind):
+        if kind == "polynomial":
+            spec = make_random_spec(np.random.default_rng(3), 7, 7)
+            prob = ExtremalProblem(
+                p=1.5, spec=spec, xi=0.2, basis=PolynomialBasis(spec.degree - 2)
+            )
+        else:
+            prob = ExtremalProblem(
+                p=2.0, spec=S_PI, xi=0.3,
+                basis=KernelNodeBasis(tuple(np.linspace(-4.0, 4.0, 9))),
+                window=(-8.0, 8.0),
+            )
+        sol = solve(prob)
+        assert len(sol.zeros) >= 3
+        # one grid for every pair gives each pair the value it gets alone
+        assert sol.orthogonality_residuals == tuple(
+            orthogonality_residual(sol, prob, pair)
+            for pair in zip(sol.zeros, sol.zeros[1:])
+        )
+
+    def test_p3_norm_integrals_converge(self, monkeypatch):
+        # the norm and unit-norm integrals of a p = 3 solve report converged
+        spec = make_random_spec(np.random.default_rng(3), 8, 8)
+        prob = ExtremalProblem(
+            p=3.0, spec=spec, xi=-1.0, basis=PolynomialBasis(spec.degree - 2)
+        )
+        import debranges.extremal as X
+
+        seen = []
+
+        def recording(*args, **kwargs):
+            seen.append(integrate(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(X, "integrate", recording)
+        solve(prob)
+        assert len(seen) == 2
+        assert all(r.converged for r in seen)
+
+
 class TestZeroExtraction:
     def test_no_zero_constant(self):
         prob = ExtremalProblem(p=2.0, spec=TWO, xi=0.0, basis=PolynomialBasis(0))

@@ -87,6 +87,22 @@ class TestEvalE:
         direct = np.prod([z - w for w in zeros])
         assert abs(eval_E(spec, z) - direct) <= 1e-9 * abs(direct)
 
+    def test_plain_path_matches_product_form(self, rng):
+        # a large input takes the product over blocks of points; the
+        # points x zeros product in one piece is the reference, bit for bit
+        zeros = [complex(rng.uniform(-3, 3), rng.uniform(-3, -0.1)) for _ in range(12)]
+        spec = HBSpec(zeros=zeros)
+        z = rng.uniform(-40, 40, 10_000) + 1j * rng.uniform(-1, 3, 10_000)
+        for conjugate, roots in ((False, np.array(zeros)), (True, np.conj(zeros))):
+            ref = np.prod(z[:, None] - roots, axis=-1)
+            assert np.array_equal(eval_E(spec, z, conjugate=conjugate), ref)
+        grid = z.reshape(100, 100)
+        assert np.array_equal(eval_E(spec, grid), eval_E(spec, z).reshape(100, 100))
+        # a small input takes one block; its values match the blocked ones
+        assert np.array_equal(eval_E(spec, z[:50]), eval_E(spec, z)[:50])
+        assert type(eval_E(spec, 0.5)) is complex
+        assert type(eval_E(spec, np.float64(0.5) + 1j)) is complex
+
 
 class TestEvalAB:
     def test_paley_wiener_half(self):
