@@ -445,15 +445,15 @@ def _crit9_instances(ctx):
 
 def _perturbed_residual(prob, sol, rng) -> float:
     """Largest zero-pair residual after a 1% coefficient perturbation."""
-    c = np.asarray(sol._cheb)
+    c = sol._coef
     best = 0.0
     for _ in range(5):
         pert = c * (1.0 + 0.01 * rng.uniform(-1.0, 1.0, size=c.size))
-        zeros = X._cheb_split_guesses(pert, sol._cheb_scale)
+        zeros = sol._basis.split_guesses(pert)
         if len(zeros) < 2:
             continue
-        fake = dataclasses.replace(sol, zeros=tuple(zeros), _cheb=pert)
-        resids = X._orthogonality_residuals(fake, prob, zip(zeros, zeros[1:]))
+        fake = dataclasses.replace(sol, zeros=tuple(zeros), _coef=pert)
+        resids = X._orthogonality_residuals(fake, zip(zeros, zeros[1:]))
         best = max([best, *map(abs, resids)])
         if best > 1e-3:
             break

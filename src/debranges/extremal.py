@@ -34,6 +34,7 @@ from .hb_core import (
 from .numerics import (
     NonConvergenceError,
     QuadratureScheme,
+    _grid,
     _integrate_batch,
     integrate,
     log_gamma,
@@ -155,8 +156,8 @@ class ExtremalSolution:
     """Optimal coefficients, normalized so ||f/E||_p = 1.
 
     coefficients are monomial for polynomial mode and kernel weights for
-    Paley-Wiener mode; `eval` reconstructs f, via the numerically stable
-    internal representation (scaled Chebyshev series / kernel sums).
+    Paley-Wiener mode; `eval` reconstructs f from the solve's basis and its
+    coefficients there (a scaled Chebyshev series / kernel sums).
     """
 
     p: float
@@ -171,16 +172,11 @@ class ExtremalSolution:
     norm_residual: float
     truncated: bool
     basis_kind: str
-    _cheb: Optional[np.ndarray] = None
-    _cheb_scale: float = 1.0
-    _kernels: Tuple[Kernel, ...] = ()
+    _basis: Union[_ChebBasis, _KernelBasis]
+    _coef: np.ndarray
 
     def eval(self, z):
-        if self.basis_kind == "polynomial":
-            out = _cheb.chebval(np.asarray(z) / self._cheb_scale, self._cheb)
-        else:
-            out = _kernel_sum(self._kernels, self.coefficients, z)
-        return _scalar_if_0d(z, out)
+        return _scalar_if_0d(z, self._basis.eval(self._coef, z))
 
     def to_dict(self) -> dict:
         return {
@@ -198,55 +194,81 @@ class ExtremalSolution:
         }
 
 
-def _kernel_sum(kernels: Sequence[Kernel], weights, z):
-    """sum_j weights_j K_{t_j}(z): a kernel-node expansion at z."""
-    out = np.zeros_like(np.asarray(z), dtype=complex)
-    for w, k in zip(weights, kernels):
-        out = out + w * k.eval(z)
-    return out
-
-
 # ---------------------------------------------------------------------------
-# Discretization
+# Bases and discretization
 # ---------------------------------------------------------------------------
 
 
-def _auto_cheb_scale(spec: HBSpec) -> float:
-    r = max((abs(z.real) + abs(z.imag) for z in spec.zeros), default=1.0)
-    return max(2.0, 1.5 * r)
+class _ChebBasis:
+    """Polynomial mode: Chebyshev series in x / scale on the whole line."""
+
+    kind = "polynomial"
+    domain = None
+
+    def __init__(self, problem: ExtremalProblem):
+        self.degree = problem.basis.max_degree
+        r = max((abs(z.real) + abs(z.imag) for z in problem.spec.zeros), default=1.0)
+        self.scale = problem.basis.scale or max(2.0, 1.5 * r)
+
+    def matrix(self, x):
+        return _cheb.chebvander(np.asarray(x) / self.scale, self.degree)
+
+    def eval(self, c, z):
+        return _cheb.chebval(np.asarray(z) / self.scale, c)
+
+    def split_guesses(self, c) -> List[float]:
+        """Near-real roots: real-zero estimates that place quadrature splits."""
+        return sorted(
+            float(r.real) * self.scale
+            for r in _cheb_roots(c, 1e-10)
+            if abs(r.imag) <= 1e-3 * (1.0 + abs(r.real))
+        )
+
+    def real_zeros(self, c) -> List[float]:
+        """Sorted roots; a complex one raises ComplexZeroError."""
+        roots = _cheb_roots(c, 1e-12)
+        bad = [r for r in roots if abs(r.imag) > 1e-8 * (1.0 + abs(r.real))]
+        if bad:
+            raise ComplexZeroError(
+                f"complex zeros {bad}: a true optimum has only real simple zeros, "
+                "so the solver has not converged"
+            )
+        return sorted(float(r.real) * self.scale for r in roots)
+
+    def monomial(self, c) -> np.ndarray:
+        """The reported coefficients: monomial ones in x."""
+        mono = _cheb.cheb2poly(c)
+        return np.real(mono / self.scale ** np.arange(mono.size))
 
 
-def _panel_nodes(edges: np.ndarray, nodes: int):
-    gl_x, gl_w = np.polynomial.legendre.leggauss(nodes)
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    x = (mid[:, None] + half[:, None] * gl_x[None, :]).ravel()
-    w = (half[:, None] * gl_w[None, :]).ravel()
-    return x, w
+class _KernelBasis:
+    """Paley-Wiener mode: sums of kernels K_{t_j} on the truncation window."""
 
+    kind = "kernel"
 
-def _line_grid(panels: int, nodes: int, splits: Sequence[float] = ()):
-    """x-nodes and weights for int_R h(x) dx via x = tan(theta).
+    def __init__(self, problem: ExtremalProblem):
+        self.kernels = tuple(Kernel(problem.spec, t) for t in problem.basis.nodes)
+        self.domain = problem.window
 
-    splits mark x-locations of integrand kinks (zeros of the candidate);
-    panels are geometrically graded toward them in the theta domain.
-    """
-    from .numerics import _graded_edges
+    def matrix(self, x):
+        return np.column_stack([np.real(k.eval(x)) for k in self.kernels])
 
-    edges = _graded_edges(
-        -math.pi / 2, math.pi / 2, panels, [math.atan(s) for s in splits]
-    )
-    t, w = _panel_nodes(edges, nodes)
-    return np.tan(t), w / np.cos(t) ** 2
+    def eval(self, c, z):
+        """sum_j c_j K_{t_j}(z): the one kernel-sum evaluator."""
+        out = np.zeros_like(np.asarray(z), dtype=complex)
+        for w, k in zip(c, self.kernels):
+            out = out + w * k.eval(z)
+        return out
 
+    def split_guesses(self, c) -> List[float]:
+        return _scan_real_roots(lambda x: np.real(self.eval(c, x)), self.domain, 1024)
 
-def _window_grid(
-    window: Tuple[float, float], panels: int, nodes: int, splits: Sequence[float] = ()
-):
-    from .numerics import _graded_edges
+    def real_zeros(self, c) -> List[float]:
+        return _scan_real_roots(lambda x: np.real(self.eval(c, x)), self.domain)
 
-    edges = _graded_edges(window[0], window[1], panels, list(splits))
-    return _panel_nodes(edges, nodes)
+    def monomial(self, c) -> np.ndarray:
+        """The reported coefficients: the kernel weights themselves."""
+        return np.real(c)
 
 
 class _Discretized:
@@ -257,53 +279,25 @@ class _Discretized:
     non-even p.
     """
 
-    def __init__(self, problem: ExtremalProblem, splits: Sequence[float] = ()):
-        self.problem = problem
-        self.splits = tuple(splits)
+    def __init__(self, problem: ExtremalProblem, basis, splits: Sequence[float] = ()):
+        self.problem, self.basis = problem, basis
         spec = problem.spec
-        if isinstance(problem.basis, PolynomialBasis):
-            self.kind = "polynomial"
-            self.scale = problem.basis.scale or _auto_cheb_scale(spec)
-            deg = problem.basis.max_degree
-
-            def basis_matrix(x):
-                return _cheb.chebvander(np.asarray(x) / self.scale, deg)
-
-            grid = lambda P: _line_grid(P, problem.quad_nodes, splits)
-        else:
-            self.kind = "kernel"
-            self.scale = 1.0
-            self.kernels = tuple(Kernel(spec, t) for t in problem.basis.nodes)
-
-            def basis_matrix(x):
-                return np.column_stack([np.real(k.eval(x)) for k in self.kernels])
-
-            grid = lambda P: _window_grid(
-                problem.window, P, problem.quad_nodes, splits
-            )
-
-        self.basis_matrix = basis_matrix
         # refine the grid until the p=2 Gram trace stabilizes
         panels = problem.quad_panels
         prev = None
         for _ in range(5):
-            x, w = grid(panels)
-            psi = basis_matrix(x) / np.abs(eval_E(spec, x))[:, None]
+            x, w = _grid(basis.domain, panels, problem.quad_nodes, splits)
+            psi = basis.matrix(x) / np.abs(eval_E(spec, x))[:, None]
             tr = float(np.sum(w[:, None] * psi * psi))
             if prev is not None and abs(tr - prev) <= 1e-13 * abs(tr):
                 break
             prev = tr
             panels *= 2
-        self.x, self.w, self.psi = x, w, psi
-        self.v = basis_matrix(np.array([problem.xi]))[0]
+        self.w, self.psi = w, psi
+        self.v = basis.matrix(np.array([problem.xi]))[0]
         self.b = abs(complex(eval_E(spec, problem.xi)))
         if float(np.max(np.abs(self.v))) == 0.0:
             raise ValueError("every basis element vanishes at xi; slice is empty")
-
-    def coeff_eval(self, c, z):
-        if self.kind == "polynomial":
-            return _cheb.chebval(np.asarray(z) / self.scale, c)
-        return _kernel_sum(self.kernels, c, z)
 
 
 # ---------------------------------------------------------------------------
@@ -418,18 +412,18 @@ class _SliceSolver:
         (|F'(l)| |E(l)|) at p = 1 and the grid form with the integrable
         |g|^{p-2} weight for 1 < p < 2.
         """
-        p, disc = self.p, self.disc
+        p, disc, basis = self.p, self.disc, self.disc.basis
         grad = self.exact_gradient(u)
         for _ in range(max_steps):
             grad_u = grad[0]
             if p == 1.0:
                 c = self.coeffs(u)
-                lam = np.asarray(_split_guesses(disc, c))
+                lam = np.asarray(basis.split_guesses(c))
                 if not lam.size:
                     return u
-                phi = disc.basis_matrix(lam)
+                phi = basis.matrix(lam)
                 e_abs = np.abs(eval_E(disc.problem.spec, lam))
-                fp = np.abs(_cheb.chebval(lam / disc.scale, _cheb.chebder(c)) / disc.scale)
+                fp = np.abs(basis.eval(_cheb.chebder(c), lam) / basis.scale)
                 if np.any(fp <= 0):
                     return u
                 col = phi / np.sqrt(fp * e_abs)[:, None]
@@ -459,24 +453,6 @@ class _SliceSolver:
         return u
 
 
-def _cheb_split_guesses(c: np.ndarray, scale: float) -> List[float]:
-    """Near-real roots of the Chebyshev series c in x / scale."""
-    return sorted(
-        float(r.real) * scale
-        for r in _cheb_roots(c, 1e-10)
-        if abs(r.imag) <= 1e-3 * (1.0 + abs(r.real))
-    )
-
-
-def _split_guesses(disc: _Discretized, c: np.ndarray) -> List[float]:
-    """Real-zero estimates used only to place quadrature splits."""
-    if disc.kind == "polynomial":
-        return _cheb_split_guesses(c, disc.scale)
-    return _scan_real_roots(
-        lambda x: np.real(disc.coeff_eval(c, x)), disc.problem.window, n_grid=1024
-    )
-
-
 def solve(problem: ExtremalProblem, seed: Optional[int] = None) -> ExtremalSolution:
     """Solve the extremal problem; deterministic given (problem, seed).
 
@@ -489,6 +465,8 @@ def solve(problem: ExtremalProblem, seed: Optional[int] = None) -> ExtremalSolut
     """
     p, n_free = problem.p, problem.dimension - 1
     rng = np.random.default_rng(seed)
+    kind = _ChebBasis if isinstance(problem.basis, PolynomialBasis) else _KernelBasis
+    basis = kind(problem)
     # |F|^p is not smooth at the zeros of F unless p is an even integer, so
     # after the unsplit round each round grades its grid toward the previous
     # round's zeros, until the zeros reach a fixed point: if a split lags the
@@ -497,7 +475,7 @@ def solve(problem: ExtremalProblem, seed: Optional[int] = None) -> ExtremalSolut
     rounds = 13 if p != 2 * round(p / 2) and n_free > 0 else 1
     splits, c_star = np.zeros(0), None
     for k in range(rounds):
-        disc = _Discretized(problem, splits)
+        disc = _Discretized(problem, basis, splits)
         solver = _SliceSolver(disc, p)
         if c_star is not None:
             starts = [solver.warm_start(c_star)]
@@ -516,12 +494,12 @@ def solve(problem: ExtremalProblem, seed: Optional[int] = None) -> ExtremalSolut
                 u_best, val_best = u, val
         if not math.isfinite(val_best):
             raise NonConvergenceError("extremal solver failed to produce a finite value")
-        if k > 0 and 1.0 <= p < 2.0 and disc.kind == "polynomial":
+        if k > 0 and 1.0 <= p < 2.0 and basis.kind == "polynomial":
             u_best = solver.exact_newton_polish(u_best)
         c_star = solver.coeffs(u_best)
         if k == rounds - 1:
             break
-        zeros = np.asarray(_split_guesses(disc, c_star))
+        zeros = np.asarray(basis.split_guesses(c_star))
         if not zeros.size or (
             zeros.size == len(splits)
             and np.max(np.abs(zeros - splits) / (1.0 + np.abs(zeros))) <= 1e-10
@@ -533,49 +511,29 @@ def solve(problem: ExtremalProblem, seed: Optional[int] = None) -> ExtremalSolut
     if p >= 1 and kkt > max(10 * problem.kkt_tol, 1e-6):
         raise NonConvergenceError(f"KKT residual {kkt} above tolerance")
 
-    zeros = _real_zeros(
-        disc.kind,
-        c_star,
-        disc.scale,
-        lambda x: disc.coeff_eval(c_star, x),
-        problem.window,
-    )
+    zeros = basis.real_zeros(c_star)
 
     def ratio_pow(c):
         return lambda x: np.abs(
-            np.real(disc.coeff_eval(c, x)) / np.abs(eval_E(problem.spec, x))
+            np.real(basis.eval(c, x)) / np.abs(eval_E(problem.spec, x))
         ) ** p
 
-    domain = None if disc.kind == "polynomial" else problem.window
     splits = list(zeros) if p < 2 else []
-    norm_scheme = QuadratureScheme(
-        panels=16,
-        mapping="arctangent-map-to-line" if domain is None else "compact-interval",
-        max_refinements=8,
-    )
+    scheme = QuadratureScheme(panels=16, max_refinements=8)
     # exact norm of the unscaled optimum, with panels split at the zeros
-    res = integrate(ratio_pow(c_star), domain, norm_scheme, singular_points=splits)
+    res = integrate(ratio_pow(c_star), basis.domain, scheme, singular_points=splits)
     norm_p = res.value ** (1.0 / p)
     c_final = c_star / norm_p
     C_value = 1.0 / norm_p
     # residual of ||f/E||_p = 1 after rescaling, re-measured independently
-    unit = integrate(ratio_pow(c_final), domain, norm_scheme, singular_points=splits)
+    unit = integrate(ratio_pow(c_final), basis.domain, scheme, singular_points=splits)
     norm_residual = abs(unit.value ** (1.0 / p) - 1.0)
-
-    if disc.kind == "polynomial":
-        mono = _cheb.cheb2poly(c_final)
-        mono = mono / disc.scale ** np.arange(mono.size)
-        coefficients = np.real(mono)
-        extra = {"_cheb": c_final, "_cheb_scale": disc.scale}
-    else:
-        coefficients = np.real(c_final)
-        extra = {"_kernels": disc.kernels}
 
     provisional = ExtremalSolution(
         p=p,
         spec=problem.spec,
         xi=problem.xi,
-        coefficients=coefficients,
+        coefficients=basis.monomial(c_final),
         C_value=C_value,
         zeros=tuple(float(z) for z in zeros),
         kkt_residual=kkt,
@@ -583,10 +541,11 @@ def solve(problem: ExtremalProblem, seed: Optional[int] = None) -> ExtremalSolut
         min_zero_gap=_min_gap(zeros),
         norm_residual=norm_residual,
         truncated=problem.truncated,
-        basis_kind=disc.kind,
-        **extra,
+        basis_kind=basis.kind,
+        _basis=basis,
+        _coef=c_final,
     )
-    resids = _orthogonality_residuals(provisional, problem, zip(zeros, zeros[1:]))
+    resids = _orthogonality_residuals(provisional, zip(zeros, zeros[1:]))
     return dataclasses.replace(provisional, orthogonality_residuals=resids)
 
 
@@ -613,41 +572,22 @@ def _cheb_roots(c: np.ndarray, trim: float) -> np.ndarray:
     return _cheb.chebroots(cc[:n]) if n > 1 else np.zeros(0)
 
 
-def _real_zeros(kind: str, cheb, scale: float, evaluate, window) -> List[float]:
-    """Sorted real zeros of a candidate: the roots of its Chebyshev series in
-    x / scale (a complex root raises ComplexZeroError), or for kernel sums the
-    sign changes of evaluate on the window."""
-    if kind != "polynomial":
-        return _scan_real_roots(lambda x: np.real(evaluate(x)), window)
-    roots = _cheb_roots(cheb, 1e-12)
-    bad = [r for r in roots if abs(r.imag) > 1e-8 * (1.0 + abs(r.real))]
-    if bad:
-        raise ComplexZeroError(
-            f"complex zeros {bad}: a true optimum has only real simple zeros, "
-            "so the solver has not converged"
-        )
-    return sorted(float(r.real) * scale for r in roots)
-
-
 def _scan_real_roots(f, window, n_grid: int = 4096) -> List[float]:
+    """Sorted real zeros of the vectorized real f on the window: the nodes of
+    an n_grid-point grid where f is exactly 0, and every sign change between
+    neighbouring nodes bisected 80 times, all brackets as one array."""
     xs = np.linspace(window[0], window[1], n_grid)
     vals = np.asarray(f(xs), dtype=float)
-    roots = []
-    for i in range(n_grid - 1):
-        a, b, fa, fb = xs[i], xs[i + 1], vals[i], vals[i + 1]
-        if fa == 0.0:
-            roots.append(float(a))
-            continue
-        if fa * fb < 0:
-            for _ in range(80):
-                m = 0.5 * (a + b)
-                fm = float(f(np.array([m]))[0])
-                if fa * fm <= 0:
-                    b, fb = m, fm
-                else:
-                    a, fa = m, fm
-            roots.append(0.5 * (a + b))
-    return sorted(roots)
+    exact = xs[:-1][vals[:-1] == 0.0]
+    i = np.flatnonzero(vals[:-1] * vals[1:] < 0)
+    a, b, fa = xs[i], xs[i + 1], vals[i]
+    for _ in range(80 if i.size else 0):
+        m = 0.5 * (a + b)
+        fm = np.asarray(f(m), dtype=float)
+        left = fa * fm <= 0
+        a, fa = np.where(left, a, m), np.where(left, fa, fm)
+        b = np.where(left, m, b)
+    return sorted(float(r) for r in np.concatenate((exact, 0.5 * (a + b))))
 
 
 def extract_zeros(sol: ExtremalSolution, problem: ExtremalProblem) -> np.ndarray:
@@ -659,9 +599,7 @@ def extract_zeros(sol: ExtremalSolution, problem: ExtremalProblem) -> np.ndarray
     asserted through a strictly positive minimum gap and a derivative at
     each root that does not vanish against |f| within unit distance of it.
     """
-    zeros = _real_zeros(
-        sol.basis_kind, sol._cheb, sol._cheb_scale, sol.eval, problem.window
-    )
+    zeros = sol._basis.real_zeros(sol._coef)
     if len(zeros) >= 2 and _min_gap(zeros) <= 0.0:
         raise ComplexZeroError("repeated zero detected; zeros must be simple")
     if zeros:
@@ -693,12 +631,11 @@ def orthogonality_residual(
     denominator in absolute value.  Quadrature panels are split at the zeros
     of f (the integrand has |x - lambda|^{p-1} kinks there).
     """
-    return _orthogonality_residuals(sol, problem, [r_numerator_zeros])[0]
+    return _orthogonality_residuals(sol, [r_numerator_zeros])[0]
 
 
 def _orthogonality_residuals(
     sol: ExtremalSolution,
-    problem: ExtremalProblem,
     pairs: Iterable[Tuple[float, float]],
 ) -> Tuple[float, ...]:
     """orthogonality_residual of each zero pair, all on one quadrature grid.
@@ -729,20 +666,14 @@ def _orthogonality_residuals(
                 last = i
             yield masked / dadb if signed else masked / np.abs(dadb)
 
-    domain = None if sol.basis_kind == "polynomial" else problem.window
     splits = sorted(set(sol.zeros).union(*pairs))
     # the signed integral sits orders below the absolute one; chasing machine
     # precision on it only grinds against the cancellation noise floor, so
     # its convergence is judged against the absolute integral
-    scheme = QuadratureScheme(
-        panels=8,
-        mapping="arctangent-map-to-line" if domain is None else "compact-interval",
-        target_rel_error=1e-9,
-        max_refinements=6,
-    )
+    scheme = QuadratureScheme(panels=8, target_rel_error=1e-9, max_refinements=6)
     m = 2 * len(pairs)
     res = _integrate_batch(
-        integrands, m, domain, scheme, splits,
+        integrands, m, sol._basis.domain, scheme, splits,
         partners=[j - 1 if j % 2 else None for j in range(m)],
     )
     out = []

@@ -35,7 +35,7 @@ from .hb_core import (
     same_de_branges_space,
     solve_phase_level,
 )
-from .numerics import golden_max, sup_on_window
+from .numerics import _refine_max, golden_max
 
 __all__ = [
     "BracketUnavailableError",
@@ -410,18 +410,11 @@ def local_expansion_check(
         except (BracketUnavailableError, ValueError):
             step = 1e-4 * (1.0 + abs(xi))
 
-    def omega(x):
-        a, _ = eval_AB(spec, alpha, x)
-        return fe(x) - a
-
-    def gamma(x):
-        _, b = eval_AB(spec, alpha, x)
-        return -b
-
     h = step
     xs = xi + h * np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
-    om = np.array([float(omega(np.array([t]))[0]) for t in xs])
-    ga = np.array([float(gamma(np.array([t]))[0]) for t in xs])
+    a, b = eval_AB(spec, alpha, xs)
+    om = fe(xs) - a  # omega = f - A_alpha
+    ga = -b  # gamma = -B_alpha
     om_xi = om[2]
     om_d1 = (om[0] - 8 * om[1] + 8 * om[3] - om[4]) / (12 * h)
     om_d2 = (-om[0] + 16 * om[1] - 30 * om[2] + 16 * om[3] - om[4]) / (12 * h * h)
@@ -546,14 +539,15 @@ def _verify(
             fx = np.abs(fx)
         return fx - norm * a
 
-    def scaled_margin(x):
+    def scaled_margin(x, raw):
         e = np.abs(eval_E(spec, np.asarray(x, dtype=float)))
-        return raw_margin(x) / (norm * np.maximum(1.0, e))
+        return raw / (norm * np.maximum(1.0, e))
 
     xs = np.linspace(lo, hi, n_grid)
     raw = raw_margin(xs)
-    neg_worst, worst_x = sup_on_window(
-        lambda x: -scaled_margin(x), (lo, hi), coarse=n_grid, refine_tol=1e-13
+    # the scan is the margin grid itself; only the refinement evaluates anew
+    neg_worst, worst_x = _refine_max(
+        lambda x: -scaled_margin(x, raw_margin(x)), xs, -scaled_margin(xs, raw), 1e-13
     )
     min_scaled = -neg_worst
     min_raw = min(

@@ -46,21 +46,18 @@ class BracketError(ValueError):
 class QuadratureScheme:
     """Composite Gauss-Legendre configuration.
 
-    mapping selects between a plain compact interval and the x = tan(theta)
-    substitution that folds the whole real line onto (-pi/2, pi/2).
+    The domain alone picks the map: a finite interval is integrated as is,
+    the whole line through x = tan(theta) on (-pi/2, pi/2).
     """
 
     panels: int = 16
     nodes_per_panel: int = 32
-    mapping: str = "compact-interval"
     target_rel_error: float = 1e-12
     max_refinements: int = 12
 
     def __post_init__(self):
         if self.panels < 1 or self.nodes_per_panel < 1:
             raise ValueError("panels and nodes_per_panel must be positive")
-        if self.mapping not in ("compact-interval", "arctangent-map-to-line"):
-            raise ValueError(f"unknown mapping {self.mapping!r}")
         if not self.target_rel_error > 0:
             raise ValueError("target_rel_error must be positive")
 
@@ -125,6 +122,34 @@ def _graded_edges(a: float, b: float, panels: int, singular: Sequence[float]) ->
     return arr[np.concatenate(([True], np.diff(arr) > 0.0))]
 
 
+def _mapped_edges(
+    domain: Optional[Tuple[float, float]], panels: int, singular_points: Iterable[float]
+) -> Tuple[np.ndarray, bool]:
+    """Panel edges graded toward the singular points, and whether they are
+    theta-edges of the x = tan(theta) map (domain None or (-inf, inf))."""
+    if domain is None or (math.isinf(domain[0]) and math.isinf(domain[1])):
+        sing = [math.atan(s) for s in singular_points]
+        return _graded_edges(-math.pi / 2, math.pi / 2, panels, sing), True
+    a, b = domain
+    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+        raise ValueError(f"invalid domain ({a}, {b})")
+    return _graded_edges(a, b, panels, list(singular_points)), False
+
+
+def _grid(domain, panels: int, nodes: int, splits: Iterable[float] = ()):
+    """x-nodes and weights of the unrefined composite rule that integrate
+    uses for int h(x) dx over domain, panels graded toward splits."""
+    edges, line = _mapped_edges(domain, panels, splits)
+    gl_x, gl_w = _gl_rule(nodes)
+    half = 0.5 * np.diff(edges)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    t = (mid[:, None] + half[:, None] * gl_x[None, :]).ravel()
+    w = (half[:, None] * gl_w[None, :]).ravel()
+    if line:
+        return np.tan(t), w / np.cos(t) ** 2
+    return t, w
+
+
 def _panel_sums(integrands, edges, n_nodes, active, line):
     """Gauss-Legendre sums of the active integrands over the panels between
     edges; on the line, nodes are theta and the integrands see x = tan(theta)."""
@@ -180,23 +205,8 @@ def _integrate_batch(
     final value of that integrand.  Only per-level sums are kept.
     """
     scheme = scheme or DEFAULT_SCHEME
-    whole_line = domain is None or (
-        math.isinf(domain[0]) and math.isinf(domain[1])
-    )
-    line = whole_line or scheme.mapping == "arctangent-map-to-line"
-    if line:
-        if domain is not None and not whole_line:
-            raise ValueError("line mapping requires an unbounded domain")
-        a, b = -math.pi / 2, math.pi / 2
-        sing = [math.atan(s) for s in singular_points]
-    else:
-        a, b = domain
-        if not (math.isfinite(a) and math.isfinite(b) and a < b):
-            raise ValueError(f"invalid domain ({a}, {b})")
-        sing = list(singular_points)
     partners = partners or [None] * m
-
-    edges = _graded_edges(a, b, scheme.panels, sing)
+    edges, line = _mapped_edges(domain, scheme.panels, singular_points)
     sums: List[List[float]] = [[] for _ in range(m)]
     results: List[Optional[IntegralResult]] = [None] * m
     for level in range(scheme.max_refinements + 1):
@@ -364,11 +374,16 @@ def sup_on_window(
     if not lo < hi:
         raise ValueError(f"empty window ({lo}, {hi})")
     xs = np.linspace(lo, hi, max(3, int(coarse)))
-    vals = np.asarray(h(xs), dtype=float)
+    return _refine_max(h, xs, np.asarray(h(xs), dtype=float), refine_tol)
+
+
+def _refine_max(h, xs: np.ndarray, vals: np.ndarray, tol: float) -> Tuple[float, float]:
+    """sup_on_window's refinement: golden section between the neighbours of
+    the best of the scanned values vals = h(xs); the better of the two wins."""
     i = int(np.argmax(vals))
     a = xs[max(i - 1, 0)]
     b = xs[min(i + 1, xs.size - 1)]
-    vref, xref = golden_max(lambda t: float(h(np.array([t]))[0]), a, b, refine_tol)
+    vref, xref = golden_max(lambda t: float(h(np.array([t]))[0]), a, b, tol)
     if vref >= vals[i]:
         return vref, xref
     return float(vals[i]), float(xs[i])

@@ -1,9 +1,12 @@
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+import debranges.extremal as X
 from conftest import make_random_spec
 from debranges.bounds import C2_exact, embedding_bound
 from debranges.hb_core import HBSpec, eval_E, phase_derivative_sup
@@ -209,11 +212,9 @@ class TestOrthogonality:
         sol = solve(prob)
         if len(sol.zeros) < 2:
             pytest.skip("needs at least two zeros")
-        pert = np.asarray(sol._cheb) * (1.0 + 0.01 * rng.uniform(-1, 1, size=len(sol._cheb)))
-        import debranges.extremal as X
-
-        zeros = X._cheb_split_guesses(pert, sol._cheb_scale)
-        fake = dataclasses.replace(sol, zeros=tuple(zeros), _cheb=pert)
+        pert = sol._coef * (1.0 + 0.01 * rng.uniform(-1, 1, size=len(sol._coef)))
+        zeros = sol._basis.split_guesses(pert)
+        fake = dataclasses.replace(sol, zeros=tuple(zeros), _coef=pert)
         vals = [
             abs(orthogonality_residual(fake, prob, (zeros[i], zeros[i + 1])))
             for i in range(len(zeros) - 1)
@@ -258,8 +259,6 @@ class TestSharedResidualGrid:
         prob = ExtremalProblem(
             p=3.0, spec=spec, xi=-1.0, basis=PolynomialBasis(spec.degree - 2)
         )
-        import debranges.extremal as X
-
         seen = []
 
         def recording(*args, **kwargs):
@@ -288,9 +287,9 @@ class TestZeroExtraction:
         prob = ExtremalProblem(p=2.0, spec=FOUR, xi=0.0, basis=PolynomialBasis(2))
         sol = solve(prob)
         # x^2 + 1 in the scaled Chebyshev basis has a complex pair
-        L = sol._cheb_scale
+        L = sol._basis.scale
         bad = np.array([1.0 + L * L / 2.0, 0.0, L * L / 2.0])
-        fake = dataclasses.replace(sol, _cheb=bad)
+        fake = dataclasses.replace(sol, _coef=bad)
         with pytest.raises(ComplexZeroError):
             extract_zeros(fake, prob)
 
@@ -309,6 +308,43 @@ class TestZeroExtraction:
         z = extract_zeros(sol, prob)
         assert np.allclose(z, sol.zeros, rtol=1e-9, atol=0.0)
         assert np.max(np.abs(np.real(sol.eval(z))) / np.abs(eval_E(spec, z))) <= 1e-8
+
+    def test_scan_bisects_every_sign_change(self):
+        roots = X._scan_real_roots(np.sin, (-8.0, 8.0))
+        assert np.allclose(roots, math.pi * np.arange(-2, 3), rtol=0.0, atol=1e-12)
+
+    def test_scan_keeps_zero_on_a_grid_node(self):
+        # nodes at the integers: 2 is a node, -0.5 lies inside a bracket
+        roots = X._scan_real_roots(lambda x: (x - 2.0) * (x + 0.5), (-8.0, 8.0), 17)
+        assert roots[1] == 2.0
+        assert np.allclose(roots, [-0.5, 2.0], rtol=0.0, atol=1e-12)
+
+    def test_scan_root_free_window(self):
+        assert X._scan_real_roots(lambda x: 2.0 + np.sin(x), (-8.0, 8.0)) == []
+
+
+class TestDiscretization:
+    @pytest.mark.parametrize("kind", ["polynomial", "kernel"])
+    def test_freed_without_cyclic_gc(self, kind):
+        # no closure of a _Discretized refers back to it, so its grid
+        # arrays go with its last reference, not at the next cyclic GC
+        if kind == "polynomial":
+            prob = ExtremalProblem(p=2.0, spec=FOUR, xi=0.0, basis=PolynomialBasis(2))
+            basis = X._ChebBasis(prob)
+        else:
+            prob = ExtremalProblem(
+                p=2.0, spec=S_PI, xi=0.3, basis=KernelNodeBasis((-1.0, 0.0, 1.0)),
+                window=(-5.0, 5.0),
+            )
+            basis = X._KernelBasis(prob)
+        gc.disable()
+        try:
+            disc = X._Discretized(prob, basis)
+            ref = weakref.ref(disc)
+            del disc
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestSeparation:

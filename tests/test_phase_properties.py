@@ -14,14 +14,23 @@ from debranges.hb_core import (  # noqa: E402
     BracketUnavailableError,
     HBSpec,
     PhaseProfile,
+    RotationRealPart,
     eval_E,
+    hb_bar_check,
     level_crossings,
     phase,
     phase_derivative,
     phase_limits,
     solve_phase_level,
+    upper_half_plane_grid,
 )
-from debranges.hormander import bracket_A_zeros, bracket_B_zeros  # noqa: E402
+from debranges.hormander import (  # noqa: E402
+    MaxAtInfinityError,
+    WrongSignError,
+    bracket_A_zeros,
+    bracket_B_zeros,
+    verify_theorem1,
+)
 
 _zero = st.builds(
     complex,
@@ -39,6 +48,7 @@ paley_wiener_specs = st.builds(
 specs = st.one_of(polynomial_specs, paley_wiener_specs)
 unit = st.floats(0.01, 0.99)
 fast = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+fifty = settings(max_examples=50, deadline=None, derandomize=True, database=None)
 
 
 def _level_in_range(profile, u):
@@ -99,3 +109,34 @@ def test_a_and_b_zeros_interlace(spec, beta):
     assert all(k1 != k2 for k1, k2 in zip(kinds, kinds[1:]))
     assert abs(za.size - zb.size) <= 1
     assert np.all(np.diff([x for x, _ in merged]) > 0)
+
+
+@fifty
+@given(specs, st.floats(0.0, math.pi))
+def test_theorem1_margin_for_rotations(spec, beta):
+    # ||A_beta/E||_inf = 1 is attained where B_beta vanishes, and Theorem 1
+    # holds there with a zero margin; without a real zero of B_beta (as for
+    # E = z + i, beta = 0) the supremum is only approached at infinity
+    try:
+        rep = verify_theorem1(RotationRealPart(spec, beta), spec)
+    except (BracketUnavailableError, WrongSignError, MaxAtInfinityError):
+        return
+    assert rep.passed
+    assert rep.min_margin_scaled >= -1e-9
+
+
+@fifty
+@given(specs, st.floats(0.0, math.pi), st.floats(0.0, 2 * math.pi))
+def test_difference_lemma_hb_bar(spec, beta, t):
+    # g = A_beta - lam E with |lam| = 1 satisfies |g#| <= |g| in the upper
+    # half-plane; g# = A_beta - conj(lam) E# since A_beta is real entire
+    lam = cmath.exp(1j * t)
+    a = RotationRealPart(spec, beta)
+
+    def g(z):
+        return a.eval(z) - lam * eval_E(spec, z)
+
+    def g_sharp(z):
+        return a.eval(z) - lam.conjugate() * eval_E(spec, z, conjugate=True)
+
+    assert hb_bar_check(g, g_sharp, upper_half_plane_grid(nx=16, ny=16)).passed
