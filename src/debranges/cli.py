@@ -347,13 +347,16 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except SpecError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (WrongSignError, BracketUnavailableError, MaxAtInfinityError) as exc:
-        print(f"mathematical assertion failed ({type(exc).__name__}): {exc}", file=sys.stderr)
-        return EXIT_ASSERTION
     except (NonConvergenceError, X.ComplexZeroError) as exc:
         print(f"numerical non-convergence: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
-    except (ValueError, ArithmeticError) as exc:
+    except (WrongSignError, BracketUnavailableError, MaxAtInfinityError, ArithmeticError) as exc:
+        # a bare ArithmeticError is a failed invariant check (Wendel chain,
+        # interval energy, kernel numerator, real coefficients, sign change)
+        # whose message names the invariant
+        print(f"mathematical assertion failed ({type(exc).__name__}): {exc}", file=sys.stderr)
+        return EXIT_ASSERTION
+    except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
@@ -60,6 +60,12 @@ __all__ = [
 ]
 
 _EPS_STAGES = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12)
+_POLISH_STEPS = 30
+# zeros closer than this, relative to 1 + |z|, are one double zero that
+# rounding split in two (about sqrt(eps) apart, times the root finder's
+# conditioning); this is 64 sqrt(eps), and simple zeros of an optimum sit
+# orders of magnitude wider apart
+_SPLIT_GAP = 2.0 ** -20
 
 
 class ComplexZeroError(ArithmeticError):
@@ -247,17 +253,24 @@ class _KernelBasis:
     kind = "kernel"
 
     def __init__(self, problem: ExtremalProblem):
+        self.spec = problem.spec
         self.kernels = tuple(Kernel(problem.spec, t) for t in problem.basis.nodes)
         self.domain = problem.window
 
+    def _columns(self, z):
+        """Each K_{t_j}(z), from one pair of E(z), E#(z) evaluations."""
+        zz = np.asarray(z, dtype=complex)
+        e, es = eval_E(self.spec, zz), eval_E(self.spec, zz, conjugate=True)
+        return (k._from_E(zz, e, es) for k in self.kernels)
+
     def matrix(self, x):
-        return np.column_stack([np.real(k.eval(x)) for k in self.kernels])
+        return np.column_stack([np.real(col) for col in self._columns(x)])
 
     def eval(self, c, z):
         """sum_j c_j K_{t_j}(z): the one kernel-sum evaluator."""
         out = np.zeros_like(np.asarray(z), dtype=complex)
-        for w, k in zip(c, self.kernels):
-            out = out + w * k.eval(z)
+        for w, col in zip(c, self._columns(z)):
+            out = out + w * col
         return out
 
     def split_guesses(self, c) -> List[float]:
@@ -307,7 +320,10 @@ class _Discretized:
 
 def _newton_on_slice(A, w, g0, p, eps, tol, u0, max_iter=120):
     """Minimize sum w (g^2 + eps^2)^{p/2} over grid values g = g0 + A u by
-    damped Newton; the line search moves along g + t A du."""
+    damped Newton; the line search moves along g + t A du.
+
+    Returns (u, value, gradient norm, met): met is False when the stage ran
+    out of max_iter before its gradient met tol."""
 
     def J(g):
         return float(np.sum(w * (g * g + eps * eps) ** (p / 2)))
@@ -327,7 +343,7 @@ def _newton_on_slice(A, w, g0, p, eps, tol, u0, max_iter=120):
         grad_u = A.T @ (w * rho)
         gnorm = float(np.linalg.norm(grad_u))
         if gnorm <= tol * max(1.0, abs(val)):
-            return u, val, gnorm
+            return u, val, gnorm, True
         H = A.T @ (A * (w * kappa)[:, None])
         try:
             du = np.linalg.solve(H, -grad_u)
@@ -344,13 +360,27 @@ def _newton_on_slice(A, w, g0, p, eps, tol, u0, max_iter=120):
         u = u + t * du
         g = g0 + A @ u
         val = J(g)
-    return u, val, gnorm
+    return u, val, gnorm, False
 
 
 def _kkt(along, normal) -> float:
     """Relative size of the slice part of the exact gradient."""
     size = float(np.linalg.norm(along))
     return size / max(math.hypot(size, normal), 1e-300)
+
+
+class _Polish(NamedTuple):
+    """What `exact_newton_polish` ended with: the point, its exact KKT
+    residual, the steps it kept, and why it stopped: "converged" (a step
+    below rounding), "rejected" (the step raised the KKT residual),
+    "singular" (singular Hessian, or a zero where F' vanishes), "nonfinite"
+    (a non-finite step), "no_zeros" (p = 1 and no real zero to kink at) or
+    "cap" (max_steps kept)."""
+
+    u: np.ndarray
+    kkt: float
+    steps: int
+    exit: str
 
 
 class _SliceSolver:
@@ -376,14 +406,49 @@ class _SliceSolver:
         self.g0 = T @ self.y_feas
 
     def continuation(self, u_start, kkt_tol):
-        u, val, g = u_start, math.inf, math.inf
+        """Damped Newton down the eps ladder from u_start; returns u and its
+        value on the last stage run.
+
+        p >= 2 is one unsmoothed stage; 1 < p < 2 and the kernel-node basis
+        run every rung of _EPS_STAGES.  On the polynomial p = 1 path the rungs
+        only have to bring u into the basin of `exact_newton_polish`.  A
+        start whose exact KKT residual is already below the first rung's eps
+        (the previous round's optimum, warm-started on a regraded grid) goes
+        straight to the polish: the first rung would pull it back out of the
+        basin.  Otherwise the polish runs after each rung, and the ladder
+        hands over to it, returning the best polished point, once
+        - the polished KKT residual is below the next rung's eps, or
+        - this polish and the best one so far both kept steps (so they work
+          inside the basin), but this one is not 10 times below the best
+          although eps fell at least 100-fold: the polish sits at the floor
+          this grid allows, which only regrading toward the zeros lowers.
+        A polished point is returned with its exact (unsmoothed) value.
+        """
+        u, val = u_start, math.inf
         stages = _EPS_STAGES if self.p < 2 else (0.0,)
+        handover = self.p == 1.0 and self.disc.basis.kind == "polynomial"
+        if handover and self.kkt_residual(u) <= stages[0]:
+            return self._with_l1(self.exact_newton_polish(u, _POLISH_STEPS).u)
+        best = None
         for k, eps in enumerate(stages):
-            stage_tol = kkt_tol if k == len(stages) - 1 else 1e-6
-            u, val, g = _newton_on_slice(
-                self.A, self.disc.w, self.g0, self.p, eps * self.disc.b, stage_tol, u
+            last = k == len(stages) - 1
+            u, val, _, _ = _newton_on_slice(
+                self.A, self.disc.w, self.g0, self.p, eps * self.disc.b,
+                kkt_tol if last else 1e-6, u,
             )
-        return u, val, g
+            if not handover:
+                continue
+            pol = self.exact_newton_polish(u, _POLISH_STEPS)
+            stalled = best is not None and best.steps and pol.steps and pol.kkt > 0.1 * best.kkt
+            if best is None or pol.kkt <= best.kkt:
+                best = pol
+            if last or best.kkt <= stages[k + 1] or stalled:
+                return self._with_l1(best.u)
+        return u, val
+
+    def _with_l1(self, u):
+        """u with its exact p = 1 value sum w |g|."""
+        return u, float(np.sum(self.disc.w * np.abs(self.g0 + self.A @ u)))
 
     def coeffs(self, u):
         return np.linalg.solve(self.R, self.y_feas + self.Z @ u)
@@ -403,29 +468,32 @@ class _SliceSolver:
     def kkt_residual(self, u):
         return _kkt(*self.exact_gradient(u))
 
-    def exact_newton_polish(self, u, max_steps=8):
-        """Final unsmoothed Newton steps for 1 <= p < 2, polynomial basis.
+    def exact_newton_polish(self, u, max_steps=8) -> _Polish:
+        """Unsmoothed Newton steps for 1 <= p < 2, polynomial basis.
 
         The smoothed stages leave an O(eps)-bias that residual directions
         through far-out zeros amplify.  Here the gradient uses exact signs;
         the Hessian is the exact kink form sum_l 2 phi(l) phi(l)^T /
         (|F'(l)| |E(l)|) at p = 1 and the grid form with the integrable
-        |g|^{p-2} weight for 1 < p < 2.
+        |g|^{p-2} weight for 1 < p < 2.  A step is kept only if it does not
+        raise the exact KKT residual.  At p = 1 this is where `continuation`
+        hands the eps ladder over (see there).
         """
         p, disc, basis = self.p, self.disc, self.disc.basis
         grad = self.exact_gradient(u)
-        for _ in range(max_steps):
+        kkt = _kkt(*grad)
+        for steps in range(max_steps):
             grad_u = grad[0]
             if p == 1.0:
                 c = self.coeffs(u)
                 lam = np.asarray(basis.split_guesses(c))
                 if not lam.size:
-                    return u
+                    return _Polish(u, kkt, steps, "no_zeros")
                 phi = basis.matrix(lam)
                 e_abs = np.abs(eval_E(disc.problem.spec, lam))
                 fp = np.abs(basis.eval(_cheb.chebder(c), lam) / basis.scale)
                 if np.any(fp <= 0):
-                    return u
+                    return _Polish(u, kkt, steps, "singular")
                 col = phi / np.sqrt(fp * e_abs)[:, None]
                 H_c = 2.0 * col.T @ col
                 H_y = np.linalg.solve(
@@ -439,18 +507,18 @@ class _SliceSolver:
             try:
                 du = np.linalg.solve(H_u, -grad_u)
             except np.linalg.LinAlgError:
-                return u
+                return _Polish(u, kkt, steps, "singular")
             if not np.all(np.isfinite(du)):
-                return u
+                return _Polish(u, kkt, steps, "nonfinite")
             u_new = u + du
             grad_new = self.exact_gradient(u_new)
-            if _kkt(*grad_new) <= _kkt(*grad):
-                u, grad = u_new, grad_new
-            else:
-                break
+            kkt_new = _kkt(*grad_new)
+            if kkt_new > kkt:
+                return _Polish(u, kkt, steps, "rejected")
+            u, grad, kkt = u_new, grad_new, kkt_new
             if float(np.linalg.norm(du)) <= 1e-14 * (1.0 + float(np.linalg.norm(u))):
-                break
-        return u
+                return _Polish(u, kkt, steps + 1, "converged")
+        return _Polish(u, kkt, max_steps, "cap")
 
 
 def solve(problem: ExtremalProblem, seed: Optional[int] = None) -> ExtremalSolution:
@@ -459,9 +527,12 @@ def solve(problem: ExtremalProblem, seed: Optional[int] = None) -> ExtremalSolut
     seed randomizes the Newton starting point (used to confirm uniqueness
     for p >= 1).  After first convergence the quadrature grid is rebuilt
     with panels graded toward the estimated zeros of the candidate (the
-    |F|^p kinks) and the solve is polished, unless p is an even integer and
-    the integrand is smooth.  0 < p < 1 is experimental: 8 multistarts, best
-    value kept, no uniqueness or separation assertions attach to the result.
+    |F|^p kinks), unless p is an even integer and the integrand is smooth.
+    On the polynomial basis, 1 < p < 2 polishes each graded round with
+    `exact_newton_polish`; at p = 1 every round, the unsplit one included,
+    hands its eps ladder over to that polish inside `continuation`.  0 < p < 1
+    is experimental: 8 multistarts, best value kept, no uniqueness or
+    separation assertions attach to the result.
     """
     p, n_free = problem.p, problem.dimension - 1
     rng = np.random.default_rng(seed)
@@ -489,13 +560,13 @@ def solve(problem: ExtremalProblem, seed: Optional[int] = None) -> ExtremalSolut
             ]
         u_best, val_best = None, math.inf
         for u0 in starts:
-            u, val, _ = solver.continuation(u0, problem.kkt_tol)
+            u, val = solver.continuation(u0, problem.kkt_tol)
             if val < val_best:  # a non-finite value never displaces a finite one
                 u_best, val_best = u, val
         if not math.isfinite(val_best):
             raise NonConvergenceError("extremal solver failed to produce a finite value")
-        if k > 0 and 1.0 <= p < 2.0 and basis.kind == "polynomial":
-            u_best = solver.exact_newton_polish(u_best)
+        if k > 0 and 1.0 < p < 2.0 and basis.kind == "polynomial":
+            u_best = solver.exact_newton_polish(u_best).u
         c_star = solver.coeffs(u_best)
         if k == rounds - 1:
             break
@@ -596,21 +667,23 @@ def extract_zeros(sol: ExtremalSolution, problem: ExtremalProblem) -> np.ndarray
     Polynomial mode roots the (scaled Chebyshev) coefficient form through a
     companion/colleague matrix; a complex pair raises ComplexZeroError, which
     at a claimed optimum indicates solver non-convergence.  Simplicity is
-    asserted through a strictly positive minimum gap and a derivative at
-    each root that does not vanish against |f| within unit distance of it.
+    asserted through gaps above the scale at which rounding splits a double
+    zero in two and a derivative at each root that does not vanish against
+    |f| within unit distance of it.
     """
     zeros = sol._basis.real_zeros(sol._coef)
-    if len(zeros) >= 2 and _min_gap(zeros) <= 0.0:
+    z = np.asarray(zeros)
+    reach = 1.0 + np.maximum(np.abs(z[:-1]), np.abs(z[1:]))
+    if np.any(np.diff(z) <= _SPLIT_GAP * reach):
         raise ComplexZeroError("repeated zero detected; zeros must be simple")
     if zeros:
         h = 1e-6 * (1.0 + np.abs(zeros))
-        z = np.asarray(zeros)
         d1 = (np.real(sol.eval(z + h)) - np.real(sol.eval(z - h))) / (2 * h)
         near = z[:, None] + np.linspace(-1.0, 1.0, 17)
         scale = np.max(np.abs(np.real(sol.eval(near))), axis=1)
         if np.any(np.abs(d1) <= 1e-10 * np.maximum(scale, 1e-300)):
             raise ComplexZeroError("vanishing derivative at a zero; not simple")
-    return np.asarray(zeros)
+    return z
 
 
 # ---------------------------------------------------------------------------

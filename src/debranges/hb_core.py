@@ -621,16 +621,20 @@ class Kernel(StructuredEntire):
 
     def eval(self, z):
         zz = np.asarray(z, dtype=complex)
-        num = eval_E(self.spec, zz) * np.conj(self._et) - eval_E(
-            self.spec, zz, conjugate=True
-        ) * np.conj(self._ets)
+        e, es = eval_E(self.spec, zz), eval_E(self.spec, zz, conjugate=True)
+        return _scalar_if_0d(z, self._from_E(zz, e, es))
+
+    def _from_E(self, zz, e, es):
+        """K_t at the complex array zz from E(zz) and E#(zz): the values are
+        the same for every kernel of one spec, so a kernel sum computes them
+        once per point set."""
+        num = e * np.conj(self._et) - es * np.conj(self._ets)
         den = 2j * math.pi * (self.t - zz)
         near = np.abs(zz - self.t) < self._DIAGONAL_WINDOW * (1.0 + abs(self.t))
         n1, n2, n3 = self._jet
         u = zz - self.t
         taylor = -(n1 + n2 * u / 2.0 + n3 * u * u / 6.0) / (2j * math.pi)
-        out = np.where(near, taylor, num / np.where(near, 1.0, den))
-        return _scalar_if_0d(z, out)
+        return np.where(near, taylor, num / np.where(near, 1.0, den))
 
     def certify(self, ambient: HBSpec) -> None:
         if same_de_branges_space(self.spec, ambient):

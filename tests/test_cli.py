@@ -4,13 +4,16 @@ from pathlib import Path
 
 import pytest
 
+from debranges import cli
 from debranges.cli import (
     EXIT_ASSERTION,
     EXIT_INPUT,
+    EXIT_NONCONVERGENCE,
     EXIT_OK,
     run,
     validate_report,
 )
+from debranges.extremal import ComplexZeroError
 from debranges.hb_core import SpecError
 
 S_PI_JSON = {"exp_rate": math.pi, "zeros": [], "rotation": 0.0, "scale": 1.0}
@@ -231,6 +234,23 @@ class TestSchemaAndErrors:
         )
         assert code == EXIT_OK
         assert read_report(out)["tolerances"]["margin"] == 1e-7
+
+    @pytest.mark.parametrize(
+        "exc,code",
+        [
+            (ArithmeticError("interval-energy inequality failed"), EXIT_ASSERTION),
+            (ValueError("bad window"), EXIT_INPUT),
+            (ComplexZeroError("complex zeros"), EXIT_NONCONVERGENCE),
+        ],
+    )
+    def test_exit_code_by_error_type(self, exc, code, monkeypatch, capsys):
+        # a bare ArithmeticError is a failed invariant check: exit 1, named
+        def raising(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli.B, "make_bound_report", raising)
+        assert run(["bounds", "--p", "2"]) == code
+        assert str(exc) in capsys.readouterr().err
 
     def test_validate_report_rejects_malformed(self):
         with pytest.raises(SpecError):

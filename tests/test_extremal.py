@@ -5,6 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev as _cheb
 
 import debranges.extremal as X
 from conftest import make_random_spec
@@ -158,6 +159,70 @@ class TestSolveP1:
         assert abs(f_xi - abs(eval_E(spec, prob.xi)) * sol.C_value) <= 1e-9 * abs(f_xi)
 
 
+def _crit9_p1_problem():
+    """The p = 1 problem on criterion 9's second spec (degree 10) at
+    acceptance seed 0."""
+    rng = np.random.default_rng(9)
+    specs = []
+    for _ in range(10):
+        n = int(rng.integers(4, 11))
+        specs.append(HBSpec(zeros=tuple(
+            complex(rng.uniform(-2.5, 2.5), rng.uniform(-2.0, -0.15)) for _ in range(n)
+        )))
+    xis = [float(rng.uniform(-1.0, 1.0)) for _ in specs]
+    return ExtremalProblem(
+        p=1.0, spec=specs[1], xi=xis[1], basis=PolynomialBasis(specs[1].degree - 2)
+    )
+
+
+class TestP1Handover:
+    def _solver_after(self, rungs):
+        # the degree-10 criterion-9 spec on its unsplit grid, after the
+        # given eps rungs from the minimal-norm start
+        prob = _crit9_p1_problem()
+        solver = X._SliceSolver(X._Discretized(prob, X._ChebBasis(prob)), 1.0)
+        u = np.zeros(solver.A.shape[1])
+        for eps in rungs:
+            u, _, _, met = X._newton_on_slice(
+                solver.A, solver.disc.w, solver.g0, 1.0, eps * solver.disc.b, 1e-6, u
+            )
+            assert met
+        return solver, u
+
+    def test_polish_rejects_a_step_outside_its_basin(self):
+        # after the coarsest rung the first kink-Newton step raises the KKT
+        # residual: the polish keeps nothing and says so
+        solver, u = self._solver_after((1e-2,))
+        pol = solver.exact_newton_polish(u)
+        assert (pol.exit, pol.steps) == ("rejected", 0)
+        assert np.array_equal(pol.u, u)
+        assert pol.kkt == solver.kkt_residual(u)
+
+    def test_polish_reports_its_cap(self):
+        solver, u = self._solver_after((1e-2, 1e-4, 1e-6))
+        pol = solver.exact_newton_polish(u, max_steps=2)
+        assert (pol.exit, pol.steps) == ("cap", 2)
+        assert pol.kkt < 0.1 * solver.kkt_residual(u)
+        assert pol.kkt == solver.kkt_residual(pol.u)
+
+    def test_no_newton_stage_runs_out_of_max_iter(self, monkeypatch):
+        # before the handover this solve ran every rung of every round, and
+        # three of its fine rungs ended at max_iter
+        stages = []
+
+        def recording(*args, **kwargs):
+            out = newton(*args, **kwargs)
+            stages.append(out[3])
+            return out
+
+        newton = X._newton_on_slice
+        monkeypatch.setattr(X, "_newton_on_slice", recording)
+        sol = solve(_crit9_p1_problem())
+        assert stages and all(stages)
+        assert sol.kkt_residual <= 1e-10
+        assert max(map(abs, sol.orthogonality_residuals)) <= 1e-4
+
+
 class TestUniquenessAndExperimental:
     def test_two_random_starts_agree(self, rng):
         spec = make_random_spec(rng, 5, 7)
@@ -293,6 +358,20 @@ class TestZeroExtraction:
         with pytest.raises(ComplexZeroError):
             extract_zeros(fake, prob)
 
+    def test_rounding_split_double_zero_flagged(self):
+        # (x/L - 1/2)^2 has a double zero at L/2 that the colleague matrix
+        # returns as two real roots about 4e-8 apart
+        prob = ExtremalProblem(p=2.0, spec=FOUR, xi=0.0, basis=PolynomialBasis(2))
+        sol = solve(prob)
+        fake = dataclasses.replace(sol, _coef=_cheb.poly2cheb([0.25, -1.0, 1.0]))
+        assert len(fake._basis.real_zeros(fake._coef)) == 2
+        with pytest.raises(ComplexZeroError):
+            extract_zeros(fake, prob)
+        # a simple pair 0.04 apart still passes
+        close = dataclasses.replace(sol, _coef=_cheb.poly2cheb([0.2499, -1.0, 1.0]))
+        L = sol._basis.scale
+        assert np.allclose(extract_zeros(close, prob), [0.49 * L, 0.51 * L], atol=1e-12)
+
     @pytest.mark.parametrize("p", [2.0, 3.0])
     def test_far_zero_does_not_mask_simple_zeros(self, p):
         # one zero of the optimum sits near -39 (p = 2) or -53 (p = 3); a
@@ -321,6 +400,29 @@ class TestZeroExtraction:
 
     def test_scan_root_free_window(self):
         assert X._scan_real_roots(lambda x: 2.0 + np.sin(x), (-8.0, 8.0)) == []
+
+
+class TestKernelBasis:
+    def test_shared_E_values_equal_per_kernel_sum(self):
+        prob = ExtremalProblem(
+            p=2.0, spec=S_PI, xi=0.3,
+            basis=KernelNodeBasis(tuple(np.linspace(-4.0, 4.0, 9))),
+            window=(-8.0, 8.0),
+        )
+        basis = X._KernelBasis(prob)
+        c = np.random.default_rng(5).standard_normal(9)
+        # nodes (Taylor bridge), points next to them, a grid, and complex points
+        x = np.concatenate((prob.basis.nodes, np.add(prob.basis.nodes, 1e-6),
+                            np.linspace(-8.0, 8.0, 101)))
+        z = np.concatenate((x, x + 0.5j))
+        per_kernel = np.zeros_like(z)
+        for w, k in zip(c, basis.kernels):
+            per_kernel = per_kernel + w * k.eval(z)
+        assert np.array_equal(basis.eval(c, z), per_kernel)
+        assert np.array_equal(
+            basis.matrix(x), np.column_stack([np.real(k.eval(x)) for k in basis.kernels])
+        )
+        assert basis.eval(c, 0.3) == sum(w * k.eval(0.3) for w, k in zip(c, basis.kernels))
 
 
 class TestDiscretization:
