@@ -21,7 +21,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .numerics import monotone_solve, sup_on_window
+from .numerics import _refine_max, monotone_solve
 
 __all__ = [
     "SpecError",
@@ -58,9 +58,10 @@ __all__ = [
 # Beyond this many zeros the plain complex product risks harmless but ugly
 # intermediate overflow; switch to log-magnitude accumulation.
 _PLAIN_PRODUCT_LIMIT = 64
-# Entries of the points x zeros difference block that the plain product holds
-# at once (512 KB); a refined quadrature grid of 131,072 points and 12 zeros
-# in one block would take 25 MB.
+# Entries of the points x zeros array that a sum or product over the zeros
+# (_reduce_over_zeros) holds at once (512 KB); a refined quadrature grid of
+# 131,072 points and 12 zeros in one block would take 25 MB, the coarse phi'
+# scans of phase_derivative_sup at N = 256 over 30 MB.
 _PRODUCT_BLOCK = 1 << 15
 
 
@@ -138,6 +139,26 @@ def _zero_data(spec: HBSpec):
     return xs, ys
 
 
+def _reduce_over_zeros(fn, x: np.ndarray, n_zeros: int, dtype=float) -> np.ndarray:
+    """fn over the points of x in blocks of at most _PRODUCT_BLOCK points x
+    zeros entries, in x's shape.
+
+    fn maps an array of points to one value per point, reducing over the
+    last axis of the points x zeros array it forms; this is the only place
+    such arrays arise.  An input within one block goes to fn whole, in its
+    own shape; a larger one in 1-D blocks.  Each point's value has the same
+    bits either way.
+    """
+    step = max(1, _PRODUCT_BLOCK // n_zeros)
+    if x.size <= step:
+        return fn(x)
+    flat = x.reshape(-1)
+    out = np.empty(flat.size, dtype=dtype)
+    for i in range(0, flat.size, step):
+        out[i : i + step] = fn(flat[i : i + step])
+    return out.reshape(x.shape)
+
+
 def eval_E(spec: HBSpec, z, conjugate: bool = False):
     """Evaluate E(z), or E#(z) = conj(E(conj z)) when conjugate is set.
 
@@ -147,38 +168,35 @@ def eval_E(spec: HBSpec, z, conjugate: bool = False):
     zz = np.asarray(z, dtype=complex)
     sgn = -1.0 if conjugate else 1.0
     roots = np.conj(np.array(spec.zeros)) if conjugate else np.array(spec.zeros)
-    head = spec.scale * np.exp(
+    if spec.degree > _PLAIN_PRODUCT_LIMIT:
+
+        def log_product(b):
+            diffs = b[..., None] - roots
+            mags = np.abs(diffs)
+            logmag = (
+                math.log(spec.scale)
+                + np.sum(np.log(mags, out=mags), axis=-1)
+                + sgn * spec.exp_rate * b.imag
+            )
+            arg = (
+                sgn * spec.rotation
+                - sgn * spec.exp_rate * b.real
+                + np.sum(np.angle(diffs), axis=-1)
+            )
+            return np.exp(logmag) * np.exp(1j * arg)
+
+        out = _reduce_over_zeros(log_product, zz, spec.degree, complex)
+        return _scalar_if_0d(z, out)
+    out = spec.scale * np.exp(
         1j * sgn * spec.rotation - 1j * sgn * spec.exp_rate * zz
     )
-    if spec.degree == 0:
-        out = head
-    elif spec.degree <= _PLAIN_PRODUCT_LIMIT:
-        # a large input goes in blocks of points, so the points x zeros
-        # differences never exceed _PRODUCT_BLOCK entries; every point's
-        # product is the same bits either way
-        step = max(1, _PRODUCT_BLOCK // spec.degree)
-        if zz.size <= step:
-            prod = np.multiply.reduce(zz[..., None] - roots, axis=-1)
-        else:
-            flat, prod = zz.reshape(-1), np.empty(zz.size, dtype=complex)
-            for i in range(0, zz.size, step):
-                block = flat[i : i + step, None] - roots
-                np.multiply.reduce(block, axis=-1, out=prod[i : i + step])
-            prod = prod.reshape(zz.shape)
-        out = head * prod
-    else:
-        diffs = zz[..., None] - roots
-        logmag = (
-            math.log(spec.scale)
-            + np.sum(np.log(np.abs(diffs)), axis=-1)
-            + sgn * spec.exp_rate * zz.imag
+    if spec.degree:
+        out = out * _reduce_over_zeros(
+            lambda b: np.multiply.reduce(b[..., None] - roots, axis=-1),
+            zz,
+            spec.degree,
+            complex,
         )
-        arg = (
-            sgn * spec.rotation
-            - sgn * spec.exp_rate * zz.real
-            + np.sum(np.angle(diffs), axis=-1)
-        )
-        out = np.exp(logmag) * np.exp(1j * arg)
     return _scalar_if_0d(z, out)
 
 
@@ -193,7 +211,12 @@ def eval_E_prime(spec: HBSpec, z, conjugate: bool = False):
     roots = np.conj(np.array(spec.zeros)) if conjugate else np.array(spec.zeros)
     logd = -1j * sgn * spec.exp_rate * np.ones_like(zz)
     if spec.degree:
-        logd = logd + np.sum(1.0 / (zz[..., None] - roots), axis=-1)
+        logd = logd + _reduce_over_zeros(
+            lambda b: np.sum(1.0 / (b[..., None] - roots), axis=-1),
+            zz,
+            spec.degree,
+            complex,
+        )
     out = eval_E(spec, zz, conjugate=conjugate) * logd
     return _scalar_if_0d(z, out)
 
@@ -253,9 +276,13 @@ def _unanchored_phase(spec: HBSpec, x):
     acc = 2.0 * spec.exp_rate * xx
     if spec.degree:
         xs, ys = _zero_data(spec)
-        acc = acc + 2.0 * np.sum(
-            np.arctan((xx[..., None] - xs) / ys), axis=-1
-        )
+
+        def arctans(b):
+            d = b[..., None] - xs
+            d /= ys
+            return np.sum(np.arctan(d, out=d), axis=-1)
+
+        acc = acc + 2.0 * _reduce_over_zeros(arctans, xx, spec.degree)
     return acc
 
 
@@ -271,8 +298,15 @@ def phase_derivative(spec: HBSpec, x):
     acc = 2.0 * spec.exp_rate * np.ones_like(xx)
     if spec.degree:
         xs, ys = _zero_data(spec)
-        d = xx[..., None] - xs
-        acc = acc + 2.0 * np.sum(ys / (d * d + ys * ys), axis=-1)
+
+        def bumps(b):
+            # ys / (d * d + ys * ys), in place
+            d = b[..., None] - xs
+            d *= d
+            d += ys * ys
+            return np.sum(np.divide(ys, d, out=d), axis=-1)
+
+        acc = acc + 2.0 * _reduce_over_zeros(bumps, xx, spec.degree)
     return _scalar_if_0d(x, acc, float)
 
 
@@ -291,24 +325,34 @@ def phase_derivative_sup(spec: HBSpec) -> PhaseSup:
     """sup over the real line of phi', refined around each zero's bump.
 
     phi' is a finite sum of unimodal bumps over the constant 2*exp_rate, so a
-    coarse 64-point grid per bump plus golden-section refinement localizes
-    the maximum; the tail value 2*exp_rate is always strictly smaller when
-    zeros are present.
+    coarse 64-point grid on each bump's window x_n -+ 3 yhat_n, plus a
+    256-point grid on the hull of the windows (against maxima falling between
+    them), localizes the maximum; the tail value 2*exp_rate is always
+    strictly smaller when zeros are present.  All grids are evaluated in one
+    phi' call, and every window is refined in one lockstep golden section
+    (numerics.golden_max), one phi' call on the still-live brackets per
+    iteration.  The result is the first window's maximum among the largest,
+    each window's exactly as sup_on_window would find it.
     """
     if spec.degree == 0:
         return PhaseSup(2.0 * spec.exp_rate, None)
     xs, ys = _zero_data(spec)
-    scans = [((x - 3.0 * y, x + 3.0 * y), 64) for x, y in zip(xs, ys)]
-    # a hull scan guards against maxima falling between bump windows
-    scans.append(((float(np.min(xs - 3.0 * ys)), float(np.max(xs + 3.0 * ys))), 256))
-    best_v, best_x = max(
-        (
-            sup_on_window(lambda t: phase_derivative(spec, t), w, n, refine_tol=1e-14)
-            for w, n in scans
-        ),
-        key=lambda vx: vx[0],
+    lo = np.append(xs - 3.0 * ys, np.min(xs - 3.0 * ys))
+    hi = np.append(xs + 3.0 * ys, np.max(xs + 3.0 * ys))
+    for a, b in zip(lo, hi):
+        if not a < b:
+            raise ValueError(f"empty window ({a}, {b})")
+    bump_grids = np.linspace(lo[:-1], hi[:-1], 64, axis=-1).ravel()
+    grid = np.concatenate((bump_grids, np.linspace(lo[-1], hi[-1], 256)))
+    vals, locs = _refine_max(
+        lambda t: phase_derivative(spec, t),
+        grid,
+        phase_derivative(spec, grid),
+        1e-14,
+        [64] * spec.degree + [256],
     )
-    return PhaseSup(float(best_v), float(best_x))
+    k = int(np.argmax(vals))
+    return PhaseSup(float(vals[k]), float(locs[k]))
 
 
 def phase_limits(profile: PhaseProfile) -> Tuple[float, float]:

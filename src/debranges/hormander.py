@@ -206,12 +206,10 @@ def _grid_candidates(
     peak = max(est.values())
     cands = []
     spacing = (hi - lo) / (n_grid - 1)
-    for i in idx:
-        if est[i] < peak * (1.0 - 1e-6):
-            continue
-        a = xs[max(i - 1, 0)]
-        b = xs[min(i + 1, n_grid - 1)]
-        v, x = golden_max(lambda t: float(ratio(np.array([t]))[0]), a, b, tol=1e-13)
+    near = np.array([i for i in idx if not est[i] < peak * (1.0 - 1e-6)], dtype=int)
+    lo_n, hi_n = xs[np.maximum(near - 1, 0)], xs[np.minimum(near + 1, n_grid - 1)]
+    vs, xr = golden_max(ratio, lo_n, hi_n, tol=1e-13)
+    for v, x in zip(vs.tolist(), xr.tolist()):
         if polish is not None:
             x = polish(x, 2.0 * spacing)
             v = float(ratio(np.array([x]))[0])
@@ -549,7 +547,7 @@ def _verify(
     neg_worst, worst_x = _refine_max(
         lambda x: -scaled_margin(x, raw_margin(x)), xs, -scaled_margin(xs, raw), 1e-13
     )
-    min_scaled = -neg_worst
+    min_scaled, worst_x = -float(neg_worst[0]), float(worst_x[0])
     min_raw = min(
         float(np.min(raw)), float(raw_margin(np.array([worst_x]))[0])
     )

@@ -2,8 +2,13 @@
 
 Composite Gauss-Legendre quadrature on intervals and on the whole line
 (arctangent map), log-gamma, monotone root inversion, and windowed
-maximization by coarse scan plus golden-section refinement.  Everything here
-is a pure function of its inputs and safe to call concurrently.
+maximization by coarse scan plus golden-section refinement.  The
+maximization is batched: the scans of many windows are evaluated in one call
+by the caller, and golden_max refines all their brackets in lockstep, one
+call of the objective per iteration on the brackets still live, each bracket
+taking the steps it would take alone (sup_on_window is the one-window case).
+Everything here is a pure function of its inputs and safe to call
+concurrently.
 """
 
 from __future__ import annotations
@@ -328,34 +333,86 @@ def monotone_solve(
 
 
 def golden_max(
-    h: Callable[[float], float],
-    a: float,
-    b: float,
+    h: Callable,
+    a,
+    b,
     tol: float = 1e-12,
     max_iter: int = 80,
-) -> Tuple[float, float]:
+):
     """Golden-section maximization on [a, b]; returns (max value, argmax).
 
+    a and b are scalars, or arrays of brackets refined in lockstep: every
+    iteration evaluates h once, on an array holding the new point of each
+    bracket still wider than tol * (1 + |lo| + |hi|); the others are frozen.
+    Each bracket makes exactly the comparisons and stopping test it would
+    make alone, so h must evaluate each point of an array as it would that
+    point alone.  Scalar brackets call h on Python floats and return Python
+    floats; array brackets call it on 1-D arrays and return two arrays.  A
+    single bracket runs the same steps on Python floats, where numpy's cost
+    per call would triple its time.
     Iteration count is capped for deterministic runtime; accuracy on a
     unimodal bump is tol * (1 + |x|) in the abscissa.
     """
-    lo, hi = float(a), float(b)
+    if np.ndim(a) == 0 and np.ndim(b) == 0:
+        return _golden_one(lambda t: float(h(t)), float(a), float(b), tol, max_iter)
+
+    def ev(x):
+        return np.asarray(h(x), dtype=float).reshape(x.shape)
+
+    # end_lo, end_hi: every bracket's ends, final once it stops; the state
+    # of the brackets still live (indices live) is compacted as they stop
+    end_lo, end_hi = (
+        np.array(v, dtype=float).reshape(-1) for v in np.broadcast_arrays(a, b)
+    )
+    if end_lo.size == 1:
+        lo, hi = float(end_lo[0]), float(end_hi[0])
+        v, x = _golden_one(lambda t: ev(np.array([t]))[0], lo, hi, tol, max_iter)
+        return np.array([v]), np.array([x])
+    live = np.arange(end_lo.size)
+    lo, hi = end_lo.copy(), end_hi.copy()
     x1 = hi - GOLDEN * (hi - lo)
     x2 = lo + GOLDEN * (hi - lo)
-    f1, f2 = float(h(x1)), float(h(x2))
+    f1, f2 = np.split(ev(np.concatenate((x1, x2))), 2)
+    for _ in range(max_iter):
+        # not "width > target": a NaN width keeps iterating, as alone
+        going = ~(hi - lo <= tol * (1.0 + np.abs(lo) + np.abs(hi)))
+        if not going.all():
+            end_lo[live], end_hi[live] = lo, hi
+            live, lo, hi, x1, x2, f1, f2 = (
+                v[going] for v in (live, lo, hi, x1, x2, f1, f2)
+            )
+            if not live.size:
+                break
+        up = f1 < f2
+        lo, hi = np.where(up, x1, lo), np.where(up, hi, x2)
+        x_in, f_in = np.where(up, x2, x1), np.where(up, f2, f1)
+        x_new = np.where(up, lo + GOLDEN * (hi - lo), hi - GOLDEN * (hi - lo))
+        f_new = ev(x_new)
+        x1, x2 = np.where(up, x_in, x_new), np.where(up, x_new, x_in)
+        f1, f2 = np.where(up, f_in, f_new), np.where(up, f_new, f_in)
+    end_lo[live], end_hi[live] = lo, hi
+    xm = 0.5 * (end_lo + end_hi)
+    return ev(xm), xm
+
+
+def _golden_one(h, lo: float, hi: float, tol: float, max_iter: int):
+    """golden_max on one bracket, with float state and h on floats."""
+    x1 = hi - GOLDEN * (hi - lo)
+    x2 = lo + GOLDEN * (hi - lo)
+    f1, f2 = h(x1), h(x2)
     for _ in range(max_iter):
         if hi - lo <= tol * (1.0 + abs(lo) + abs(hi)):
             break
         if f1 < f2:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + GOLDEN * (hi - lo)
-            f2 = float(h(x2))
+            f2 = h(x2)
         else:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - GOLDEN * (hi - lo)
-            f1 = float(h(x1))
+            f1 = h(x1)
     xm = 0.5 * (lo + hi)
-    return float(h(xm)), xm
+    return h(xm), xm
 
 
 def sup_on_window(
@@ -374,16 +431,24 @@ def sup_on_window(
     if not lo < hi:
         raise ValueError(f"empty window ({lo}, {hi})")
     xs = np.linspace(lo, hi, max(3, int(coarse)))
-    return _refine_max(h, xs, np.asarray(h(xs), dtype=float), refine_tol)
+    v, x = _refine_max(h, xs, np.asarray(h(xs), dtype=float), refine_tol)
+    return float(v[0]), float(x[0])
 
 
-def _refine_max(h, xs: np.ndarray, vals: np.ndarray, tol: float) -> Tuple[float, float]:
-    """sup_on_window's refinement: golden section between the neighbours of
-    the best of the scanned values vals = h(xs); the better of the two wins."""
-    i = int(np.argmax(vals))
-    a = xs[max(i - 1, 0)]
-    b = xs[min(i + 1, xs.size - 1)]
-    vref, xref = golden_max(lambda t: float(h(np.array([t]))[0]), a, b, tol)
-    if vref >= vals[i]:
-        return vref, xref
-    return float(vals[i]), float(xs[i])
+def _refine_max(h, xs: np.ndarray, vals: np.ndarray, tol: float, sizes=None):
+    """sup_on_window's refinement for the windows whose scans xs and their
+    values vals = h(xs) lie back to back, sizes[k] nodes for window k (one
+    window if sizes is None).  All windows are refined in one lockstep
+    golden section, each between the neighbours of its first best node; per
+    window the better of refinement and node wins.  Returns the arrays of
+    per-window maxima and their locations.
+    """
+    sizes = [xs.size] if sizes is None else sizes
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    i = np.array([s + int(np.argmax(vals[s:e])) for s, e in zip(starts, ends)])
+    a = xs[np.maximum(i - 1, starts)]
+    b = xs[np.minimum(i + 1, ends - 1)]
+    vref, xref = golden_max(h, a, b, tol)
+    win = vref >= vals[i]
+    return np.where(win, vref, vals[i]), np.where(win, xref, xs[i])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import make_random_spec
+from debranges import hb_core
 from debranges.hb_core import (
     Combination,
     HBSpec,
@@ -17,6 +18,7 @@ from debranges.hb_core import (
     entire_from_dict,
     eval_AB,
     eval_E,
+    eval_E_prime,
     hb_bar_check,
     level_crossings,
     phase,
@@ -223,6 +225,42 @@ class TestPhaseDerivative:
         y = 40.0
         ratio = abs(eval_E(spec, 1j * y, conjugate=True) / eval_E(spec, 1j * y))
         assert abs(-math.log(ratio) / y - 2 * 1.3) <= 1e-1
+
+
+class TestBlockedZeroSums:
+    """Inputs larger than one block of _PRODUCT_BLOCK points x zeros entries
+    give the bits of one unblocked evaluation."""
+
+    @staticmethod
+    def _spec(rng, n, rate=0.0):
+        zeros = [complex(rng.uniform(-3, 3), rng.uniform(-3, -0.1)) for _ in range(n)]
+        return HBSpec(exp_rate=rate, zeros=zeros, rotation=0.4, scale=1.3)
+
+    @staticmethod
+    def _same(blocked, whole):
+        return blocked.shape == whole.shape and blocked.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("n", [12, 65, 128, 256])
+    def test_blocked_equals_unblocked(self, rng, monkeypatch, n):
+        spec = self._spec(rng, n, rate=0.7)
+        x = np.linspace(-4.0, 4.0, 3 * hb_core._PRODUCT_BLOCK // n + 17)
+        z = (x + 1j * np.linspace(0.01, 4.0, x.size))[: x.size // 3 * 3].reshape(3, -1)
+        assert x.size > hb_core._PRODUCT_BLOCK // n
+        prof = PhaseProfile(spec, anchor_point=0.3)
+
+        def evaluate():
+            return (
+                phase_derivative(spec, x),
+                phase(prof, x),
+                eval_E(spec, x),
+                eval_E(spec, z, conjugate=True),
+                eval_E_prime(spec, z),
+            )
+
+        blocked = evaluate()
+        monkeypatch.setattr(hb_core, "_PRODUCT_BLOCK", 1 << 40)
+        for b, w in zip(blocked, evaluate()):
+            assert self._same(b, w)
 
 
 class TestLevelCrossings:

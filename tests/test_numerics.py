@@ -139,3 +139,51 @@ class TestSupOnWindow:
     def test_golden_max_quadratic(self):
         v, x = golden_max(lambda t: -(t - 0.37) ** 2, 0.0, 1.0)
         assert abs(x - 0.37) <= 1e-7
+
+
+class TestGoldenMaxLockstep:
+    # brackets of very different widths stop at different iterations; at
+    # tol = 1e-12 the widest one needs more than MAX_ITER
+    A = np.array([0.2, -1.0, 2.0, 0.9, -50.0])
+    B = np.array([0.3, 1.5, 2.0 + 1e-9, 1.1, 80.0])
+    MAX_ITER = 64
+
+    @staticmethod
+    def h(t):
+        return np.cos(3.0 * t) * np.exp(-0.1 * t * t) + 0.01 * t
+
+    def _scalar(self, a, b, tol):
+        calls = []
+
+        def h(t):
+            calls.append(t)
+            return float(self.h(np.float64(t)))
+
+        v, x = golden_max(h, a, b, tol, max_iter=self.MAX_ITER)
+        assert all(type(t) is float for t in calls)
+        return v, x, len(calls) - 3  # two initial points and the midpoint
+
+    def test_array_equals_scalar_calls(self):
+        for tol in (1e-12, 1e-6):
+            scalar = [self._scalar(a, b, tol) for a, b in zip(self.A, self.B)]
+            sizes = []
+
+            def h(t):
+                sizes.append(t.size)
+                return self.h(t)
+
+            v, x = golden_max(h, self.A, self.B, tol, max_iter=self.MAX_ITER)
+            assert v.tobytes() == np.array([s[0] for s in scalar]).tobytes()
+            assert x.tobytes() == np.array([s[1] for s in scalar]).tobytes()
+            iters = [s[2] for s in scalar]
+            # one call per iteration, on the brackets still live in it
+            assert len(sizes) == max(iters) + 2
+            assert sizes[0] == 2 * self.A.size and sizes[-1] == self.A.size
+            assert sizes[1:-1] == [sum(n > k for n in iters) for k in range(max(iters))]
+            if tol == 1e-12:
+                assert len(set(iters)) >= 3
+                assert iters[-1] == self.MAX_ITER
+
+    def test_scalar_returns_python_floats(self):
+        v, x = golden_max(lambda t: -(t - 0.37) ** 2, 0.0, 1.0)
+        assert type(v) is float and type(x) is float

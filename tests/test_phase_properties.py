@@ -20,6 +20,7 @@ from debranges.hb_core import (  # noqa: E402
     level_crossings,
     phase,
     phase_derivative,
+    phase_derivative_sup,
     phase_limits,
     solve_phase_level,
     upper_half_plane_grid,
@@ -31,6 +32,7 @@ from debranges.hormander import (  # noqa: E402
     bracket_B_zeros,
     verify_theorem1,
 )
+from debranges.numerics import sup_on_window  # noqa: E402
 
 _zero = st.builds(
     complex,
@@ -140,3 +142,32 @@ def test_difference_lemma_hb_bar(spec, beta, t):
         return a.eval(z) - lam.conjugate() * eval_E(spec, z, conjugate=True)
 
     assert hb_bar_check(g, g_sharp, upper_half_plane_grid(nx=16, ny=16)).passed
+
+
+def _reference_sup(spec):
+    """The per-window algorithm: sup_on_window on each bump window x_n -+ 3
+    yhat_n (64 nodes) and on their hull (256 nodes), first maximum winning."""
+    xs = np.array([z.real for z in spec.zeros])
+    ys = np.array([-z.imag for z in spec.zeros])
+    windows = [((x - 3.0 * y, x + 3.0 * y), 64) for x, y in zip(xs, ys)]
+    windows.append(((np.min(xs - 3.0 * ys), np.max(xs + 3.0 * ys)), 256))
+    return max(
+        (
+            sup_on_window(lambda t: phase_derivative(spec, t), w, n, refine_tol=1e-14)
+            for w, n in windows
+        ),
+        key=lambda vx: vx[0],
+    )
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(
+    st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+    st.integers(1, 128).flatmap(lambda n: st.lists(_zero, min_size=n, max_size=n)),
+)
+def test_sup_equals_per_window_reference(rate, zeros):
+    spec = HBSpec(exp_rate=rate, zeros=zeros)
+    sup = phase_derivative_sup(spec)
+    value, location = _reference_sup(spec)
+    assert sup.value == value
+    assert sup.location == location
