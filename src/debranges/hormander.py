@@ -6,7 +6,10 @@ f(x) >= ||f/E||_inf A_alpha(x) between the zeros of B_alpha that bracket xi.
 This module locates the extremal point, builds the bracket from phase
 levels, runs the dense-grid margin check with worst-node refinement, and
 evaluates the local expansion (double zero of f - A_alpha, positive
-curvature, increasing -B_alpha) at xi.
+curvature, increasing -B_alpha) at xi.  Without a window, xi comes from one
+scan of the whole line through x = c + s tan(theta), checked against the
+exact limit of |f/E| at infinity (OverflowError where |f/E| is not
+representable on it: pass a window).
 
 Verification is grid-based to numerical precision, not interval-rigorous.
 """
@@ -135,20 +138,15 @@ def _rotation_candidates(f: RotationRealPart, spec: HBSpec) -> List[_Candidate]:
 
 
 def _ratio_stationary_polisher(
-    f: StructuredEntire, spec: HBSpec
-) -> Optional[Callable[[float, float], float]]:
+    fc: np.ndarray, spec: HBSpec
+) -> Callable[[float, float], float]:
     """Newton polish for argmax candidates of f^2 / |E|^2 on polynomial specs.
 
     Stationary points solve g = 2 f' W - f W' = 0 with W = |E|^2, all exact
-    real polynomials, which pins xi to machine precision where golden-section
-    value comparison stalls at sqrt(eps).
+    real polynomials given f's monomial coefficients fc, which pins xi to
+    machine precision where golden-section value comparison stalls at
+    sqrt(eps).
     """
-    if not spec.is_polynomial or not isinstance(f, StructuredEntire):
-        return None
-    try:
-        fc = f.poly_coeffs(spec)
-    except (ValueError, ArithmeticError):
-        return None
     roots = list(spec.zeros) + [complex(z).conjugate() for z in spec.zeros]
     W = np.real(_POLY.polyfromroots(roots)) * spec.scale ** 2
     g = _POLY.polysub(
@@ -178,14 +176,12 @@ def _ratio_stationary_polisher(
 def _grid_candidates(
     ratio: Callable[[np.ndarray], np.ndarray],
     fval: Callable[[np.ndarray], np.ndarray],
-    window: Tuple[float, float],
-    n_grid: int,
-    tie_tol: float = 1e-9,
+    xs: np.ndarray,
+    vals: np.ndarray,
     polish: Optional[Callable[[float, float], float]] = None,
 ) -> List[_Candidate]:
-    lo, hi = window
-    xs = np.linspace(lo, hi, n_grid)
-    vals = np.asarray(ratio(xs), dtype=float)
+    """Refine the maxima of ratio scanned as vals on the increasing grid xs."""
+    n_grid = xs.size
     # refine every interior local maximum near the global level; the screen
     # uses parabolic vertex estimates since raw grid values carry O(h^2) bias
     idx = [
@@ -205,80 +201,69 @@ def _grid_candidates(
         est[i] = v
     peak = max(est.values())
     cands = []
-    spacing = (hi - lo) / (n_grid - 1)
     near = np.array([i for i in idx if not est[i] < peak * (1.0 - 1e-6)], dtype=int)
     lo_n, hi_n = xs[np.maximum(near - 1, 0)], xs[np.minimum(near + 1, n_grid - 1)]
     vs, xr = golden_max(ratio, lo_n, hi_n, tol=1e-13)
-    for v, x in zip(vs.tolist(), xr.tolist()):
+    for v, x, width in zip(vs.tolist(), xr.tolist(), (hi_n - lo_n).tolist()):
         if polish is not None:
-            x = polish(x, 2.0 * spacing)
-            v = float(ratio(np.array([x]))[0])
+            # keep the Newton point only where it does not lose height: its
+            # degree-2N stationarity polynomial can carry no correct digits
+            xp = polish(x, width)
+            vp = float(ratio(np.array([xp]))[0])
+            if vp >= v * (1.0 - 1e-12):
+                x, v = xp, vp
         cands.append((x, v))
     best = max(v for _, v in cands)
     out = []
     for x, v in cands:
-        if v >= best * (1.0 - tie_tol):
+        if v >= best * (1.0 - 1e-9):  # a tie with the best
             sgn = 1 if float(fval(np.array([x]))[0]) >= 0 else -1
             out.append(_Candidate(x=x, value=v, sign=sgn))
     # deduplicate refinements that collapsed to the same point
     out.sort(key=lambda c: c.x)
     dedup: List[_Candidate] = []
-    span = hi - lo
     for c in out:
-        if dedup and abs(c.x - dedup[-1].x) < 1e-10 * span:
+        if dedup and abs(c.x - dedup[-1].x) < 1e-10 * (1.0 + abs(c.x)):
             continue
         dedup.append(c)
     dedup.sort(key=lambda c: abs(c.x))
     return dedup
 
 
-def _auto_window_candidates(
-    f: StructuredEntire, spec: HBSpec, n_grid: int
-) -> List[_Candidate]:
-    """Polynomial-type specs: expand the window until the tail bound of
-    |f/E| falls below the interior maximum."""
-    coeffs = f.poly_coeffs(spec)
-    d = coeffs.size - 1
+def _whole_line_scan(
+    coeffs: np.ndarray,
+    spec: HBSpec,
+    ratio: Callable[[np.ndarray], np.ndarray],
+    n_grid: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """|f/E| on x = c + s tan(theta), theta evenly spaced inside (-pi/2, pi/2).
+
+    c and s are the midpoint and (at least 1) the half-width of the range of
+    the zeros' real parts, so the grid is densest where E varies.
+    """
     n = spec.degree
-    if d > n:
+    if coeffs.size - 1 > n:
         raise MaxAtInfinityError("deg f > deg E: the ratio f/E is unbounded")
-    radius = max([abs(z) for z in spec.zeros], default=0.0)
-    csum = float(np.sum(np.abs(coeffs)))
-    # exact limit of |f/E| at +-infinity: |a_N| / scale if deg f = deg E
-    limit = abs(float(coeffs[-1])) / spec.scale if d == n else 0.0
-
-    def fval(x):
-        return np.real(np.asarray(f.eval(np.asarray(x, dtype=float))))
-
-    def ratio(x):
-        return np.abs(fval(x)) / np.abs(eval_E(spec, np.asarray(x, dtype=float)))
-
-    w = max(4.0, 2.0 * radius + 2.0)
-    for _ in range(60):
-        xs = np.linspace(-w, w, n_grid)
-        interior = float(np.max(ratio(xs)))
-        if limit >= interior:
-            raise MaxAtInfinityError(
-                f"|f/E| tends to {limit} at infinity, at least its interior "
-                f"maximum {interior}, so the supremum need not be attained"
-            )
-        # safe tail bounds for |x| >= w >= max(1, 2 * radius): |E| >=
-        # scale (|x| - radius)^N >= scale (|x|/2)^N, and |f| <= csum |x|^d,
-        # or |a_N| |x|^N + (csum - |a_N|) |x|^(N-1) when d = N
-        if d < n:
-            tail = (csum / spec.scale) * (2.0 ** n) * w ** (d - n)
-        else:
-            tail = (limit + (csum / spec.scale - limit) / w) / (1.0 - radius / w) ** n
-        if tail < interior * (1.0 - 1e-9):
-            return _grid_candidates(
-                ratio,
-                fval,
-                (-w, w),
-                n_grid,
-                polish=_ratio_stationary_polisher(f, spec),
-            )
-        w *= 2.0
-    raise MaxAtInfinityError("window expansion failed to dominate the tail bound")
+    re = [complex(z).real for z in spec.zeros] or [0.0]
+    c = 0.5 * (max(re) + min(re))
+    s = max(1.0, 0.5 * (max(re) - min(re)))
+    theta = np.linspace(-0.5 * math.pi, 0.5 * math.pi, n_grid + 2)[1:-1]
+    xs = c + s * np.tan(theta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.asarray(ratio(xs), dtype=float)
+    if not np.all(np.isfinite(vals)):
+        raise OverflowError(
+            "|f/E| is not representable in floating point on the scan of the "
+            "whole line (f and E overflow); pass a window"
+        )
+    limit = abs(float(coeffs[-1])) / spec.scale if coeffs.size - 1 == n else 0.0
+    scanned = float(np.max(vals))
+    if limit >= scanned:
+        raise MaxAtInfinityError(
+            f"|f/E| tends to {limit} at infinity, at least its scanned "
+            f"maximum {scanned}, so the supremum need not be attained"
+        )
+    return xs, vals
 
 
 def _as_scaled_rotation(f: EntireLike) -> Optional[Tuple[float, RotationRealPart]]:
@@ -307,27 +292,32 @@ def _candidates(
             _Candidate(x=c.x, value=w * c.value, sign=c.sign)
             for c in _rotation_candidates(rot, spec)
         ]
-    if window is not None:
-        fe = _real_eval(f)
-
-        def ratio(x):
-            return np.abs(fe(x)) / np.abs(eval_E(spec, np.asarray(x, dtype=float)))
-
-        polish = (
-            _ratio_stationary_polisher(f, spec)
-            if isinstance(f, StructuredEntire)
-            else None
+    structured = isinstance(f, StructuredEntire) and spec.is_polynomial
+    if window is None and not structured:
+        raise ValueError(
+            "an explicit window is required for Paley-Wiener specs and for raw "
+            "callables (the whole-line scan only covers structured members on "
+            "polynomial-type specs)"
         )
-        return _grid_candidates(
-            ratio, fe, (float(window[0]), float(window[1])), n_grid, polish=polish
-        )
-    if isinstance(f, StructuredEntire) and spec.is_polynomial:
-        return _auto_window_candidates(f, spec, n_grid)
-    raise ValueError(
-        "an explicit window is required for Paley-Wiener specs and for raw "
-        "callables (the decay argument only covers structured members on "
-        "polynomial-type specs)"
-    )
+    fe = _real_eval(f)
+
+    def ratio(x):
+        return np.abs(fe(x)) / np.abs(eval_E(spec, np.asarray(x, dtype=float)))
+
+    coeffs = None
+    if window is None:
+        coeffs = f.poly_coeffs(spec)
+        xs, vals = _whole_line_scan(coeffs, spec, ratio, n_grid)
+    else:
+        xs = np.linspace(float(window[0]), float(window[1]), n_grid)
+        vals = np.asarray(ratio(xs), dtype=float)
+        if structured:
+            try:
+                coeffs = f.poly_coeffs(spec)
+            except (ValueError, ArithmeticError):
+                pass
+    polish = None if coeffs is None else _ratio_stationary_polisher(coeffs, spec)
+    return _grid_candidates(ratio, fe, xs, vals, polish=polish)
 
 
 def locate_extremum(
@@ -338,6 +328,9 @@ def locate_extremum(
 ) -> Tuple[float, float]:
     """(xi, ||f/E||_inf estimate): argmax of |f/|E|| with smallest |xi|.
 
+    Without a window, |f/E| is scanned once on the whole line through
+    x = c + s tan(theta) and checked against its exact limit at infinity
+    (OverflowError where it is not representable there: pass a window).
     Ties (periodic functions in Paley-Wiener space) break to the argmax of
     smallest absolute value, for determinism.
     """
@@ -558,7 +551,9 @@ def _verify(
     def normalized(x):
         return sgn * fe(np.asarray(x, dtype=float)) / norm
 
-    local = local_expansion_check(normalized, spec, xi, alpha, tol=tol)
+    # the signed bracket is the B_alpha bracket the default step is made of
+    step = None if sign_free else 1e-4 * (hi - lo)
+    local = local_expansion_check(normalized, spec, xi, alpha, step=step, tol=tol)
     passed = (min_scaled >= -tol) and equality_ok and lo < xi < hi
     return HormanderReport(
         kind="sign_free" if sign_free else "theorem1",
@@ -590,7 +585,9 @@ def verify_theorem1(
     Locates xi with f(xi) = +|E(xi)| ||f/E||_inf (raising WrongSignError if
     the maximum is attained only with the negative sign), takes alpha from
     E(xi) = e^{-i alpha} |E(xi)|, and margin-checks the inequality on a
-    2048-node grid with golden refinement at the worst node.
+    2048-node grid with golden refinement at the worst node.  Without a
+    window xi comes from one scan of the whole line through x = c + s
+    tan(theta), as in locate_extremum (OverflowError: pass a window).
     """
     return _verify(f, spec, tol, window, n_grid, sign_free=False)
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import make_random_spec
+from debranges import hb_core, hormander
 from debranges.hb_core import (
     Combination,
     HBSpec,
@@ -15,6 +16,7 @@ from debranges.hb_core import (
     eval_AB,
     eval_E,
     hb_bar_check,
+    solve_phase_level,
     upper_half_plane_grid,
 )
 from debranges.hormander import (
@@ -111,6 +113,58 @@ class TestLocateExtremum:
         xs = np.linspace(-20, 20, 40001)
         vals = np.abs(np.real(k.eval(xs))) / np.abs(eval_E(spec, xs))
         assert norm >= float(np.max(vals)) - 1e-9
+
+
+def _reference_specs():
+    """The hb_verify benchmark specs: zeros from default_rng(0) in this order."""
+    base = np.random.default_rng(0)
+    return {
+        n: HBSpec(
+            zeros=tuple(
+                complex(base.uniform(-3.0, 3.0), base.uniform(-3.0, -0.1))
+                for _ in range(n)
+            )
+        )
+        for n in (3, 256, 8, 128, 24, 65, 64)
+    }
+
+
+class TestWholeLineScan:
+    """Windowless extremum search: one scan of x = c + s tan(theta)."""
+
+    @pytest.mark.parametrize("n, t", [(8, -0.18160172726167745), (24, 0.5768574068568086)])
+    def test_reference_kernels_verify_without_window(self, n, t):
+        spec = _reference_specs()[n]
+        rep = verify_theorem1(Kernel(spec, t), spec)
+        assert rep.passed
+        assert rep.bracket[0] < rep.xi < rep.bracket[1]
+
+    def test_reference_kernel_n65_finds_the_peak(self):
+        # a narrow peak: a grid that steps over it reports 3.35e18 at x = -0.856
+        spec = _reference_specs()[65]
+        k = Kernel(spec, 0.47221112637412643)
+        xi, norm = locate_extremum(k, spec)
+        assert abs(norm - 1.2345e20) <= 1e-4 * 1.2345e20
+        assert abs(xi - 0.4718) <= 1e-3
+        xs = np.linspace(-6.0, 6.0, 60001)
+        vals = np.abs(np.real(k.eval(xs))) / np.abs(eval_E(spec, xs))
+        assert float(np.max(vals)) <= norm * (1.0 + 1e-9)
+
+    def test_polished_point_kept_only_if_not_lower(self):
+        # Newton on the degree-130 stationarity polynomial moves xi downhill
+        # here; keeping that point puts the margin at -1.5e-8 (tolerance 1e-9)
+        spec = _reference_specs()[65]
+        rep = verify_theorem1(Kernel(spec, 0.9348719049873533), spec)
+        assert rep.passed
+        assert rep.min_margin_scaled >= -1e-9
+
+    def test_reference_kernel_n256_overflows(self):
+        # f and E overflow together on the scan; no numpy warning either
+        spec = _reference_specs()[256]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(OverflowError, match="pass a window"):
+                locate_extremum(Kernel(spec, 0.2), spec)
 
 
 class TestBrackets:
@@ -220,6 +274,28 @@ class TestVerifyTheorem1:
             assert rep.bracket[0] < rep.xi < rep.bracket[1]
             done += 1
         assert done >= 20
+
+    def test_local_expansion_reuses_the_bracket(self, monkeypatch):
+        spec = _reference_specs()[8]
+        f = RotationRealPart(spec, 1.1)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve_phase_level(*args, **kwargs)
+
+        monkeypatch.setattr(hb_core, "solve_phase_level", counting)
+        monkeypatch.setattr(hormander, "solve_phase_level", counting)
+        rep = verify_theorem1(f, spec)
+        # seven candidate levels and the two bracket ends, solved once
+        assert len(calls) == 9
+        monkeypatch.undo()
+
+        def normalized(x):
+            return np.real(f.eval(np.asarray(x, dtype=float))) / rep.norm
+
+        ref = local_expansion_check(normalized, spec, rep.xi, rep.alpha, step=None)
+        assert rep.local == ref
 
     def test_margin_profile_rows(self):
         rep = verify_theorem1(RotationRealPart(FOUR, 0.7), FOUR)

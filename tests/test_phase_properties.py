@@ -12,8 +12,11 @@ from hypothesis import strategies as st  # noqa: E402
 
 from debranges.hb_core import (  # noqa: E402
     BracketUnavailableError,
+    Combination,
     HBSpec,
+    Kernel,
     PhaseProfile,
+    RealPolynomial,
     RotationRealPart,
     eval_E,
     hb_bar_check,
@@ -30,6 +33,7 @@ from debranges.hormander import (  # noqa: E402
     WrongSignError,
     bracket_A_zeros,
     bracket_B_zeros,
+    locate_extremum,
     verify_theorem1,
 )
 from debranges.numerics import sup_on_window  # noqa: E402
@@ -171,3 +175,44 @@ def test_sup_equals_per_window_reference(rate, zeros):
     value, location = _reference_sup(spec)
     assert sup.value == value
     assert sup.location == location
+
+
+@st.composite
+def _polynomial_members(draw):
+    """(spec, f): zeros within 2 of a centre c, f a kernel, a polynomial of
+    degree N - 2, or half a rotation plus half a kernel."""
+    c = draw(st.one_of(st.just(0.0), st.floats(-40.0, 40.0)))
+    n = draw(st.integers(2, 10))
+    zeros = draw(
+        st.lists(
+            st.builds(complex, st.floats(c - 2.0, c + 2.0), st.floats(-1.5, -0.05)),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    spec = HBSpec(zeros=zeros)
+    kernel = Kernel(spec, c + draw(st.floats(-1.0, 1.0)))
+    kind = draw(st.sampled_from(("kernel", "polynomial", "combination")))
+    if kind == "kernel":
+        return spec, kernel
+    if kind == "polynomial":
+        coeff = st.floats(-1.0, 1.0).filter(lambda v: abs(v) >= 0.01)
+        return spec, RealPolynomial(draw(st.lists(coeff, min_size=n - 1, max_size=n - 1)))
+    rotation = RotationRealPart(spec, draw(st.floats(0.0, 3.0)))
+    return spec, Combination([(0.5, rotation), (0.5, kernel)])
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(_polynomial_members())
+def test_windowless_extremum_dominates_a_dense_scan(member):
+    spec, f = member
+    _, norm = locate_extremum(f, spec)
+    re = [z.real for z in spec.zeros]
+    xs = np.linspace(min(re) - 60.0, max(re) + 60.0, 100001)
+    dense = np.abs(np.real(f.eval(xs))) / np.abs(eval_E(spec, xs))
+    assert float(np.max(dense)) <= norm * (1.0 + 1e-9)
+    try:
+        rep = verify_theorem1(f, spec)
+    except (WrongSignError, BracketUnavailableError):
+        return
+    assert rep.passed
