@@ -18,7 +18,6 @@ from .hb_core import (
     HBSpec,
     Kernel,
     PhaseProfile,
-    eval_AB,
     eval_E,
     eval_E_prime,
     phase,
@@ -135,8 +134,8 @@ def interval_energy(
         )
 
     def ratio_pow(x):
-        a, _ = eval_AB(spec, alpha, x)
-        return np.abs(a / np.abs(eval_E(spec, x))) ** p
+        e = eval_E(spec, x)
+        return np.abs((np.exp(1j * alpha) * e).real / np.abs(e)) ** p
 
     res = integrate(ratio_pow, (a_l, a_r), scheme, singular_points=(a_l, a_r))
 
@@ -165,10 +164,15 @@ def kernel_diagonal_oracle(spec: HBSpec, xi: float) -> float:
 
     Uses the analytic logarithmic derivative of the product form, not the
     bump-sum formula for phi', so it cross-checks the diagonal identity.
+    Raises OverflowError where the value is not finite in floating point.
     """
-    e = complex(eval_E(spec, xi))
-    ep = complex(eval_E_prime(spec, xi))
-    return (ep.conjugate() * e).imag / math.pi
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = complex(eval_E(spec, xi))
+        ep = complex(eval_E_prime(spec, xi))
+    value = (ep.conjugate() * e).imag / math.pi
+    if not math.isfinite(value):
+        raise OverflowError(f"K_xi(xi) at xi = {xi} is not finite in floating point")
+    return value
 
 
 def C2_exact(spec: HBSpec, xi: float) -> float:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -90,6 +89,12 @@ class HBSpec:
     zeros: Tuple[complex, ...] = ()
     rotation: float = 0.0
     scale: float = 1.0
+    # read-only arrays of the zeros, their conjugates, and the x_n and yhat_n
+    # of the phase (real parts and reflected imaginary parts); fixed by zeros
+    roots: np.ndarray = field(init=False, repr=False, compare=False)
+    conj_roots: np.ndarray = field(init=False, repr=False, compare=False)
+    x_n: np.ndarray = field(init=False, repr=False, compare=False)
+    yhat_n: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "zeros", tuple(complex(z) for z in self.zeros))
@@ -112,6 +117,15 @@ class HBSpec:
                 "degenerate spec: exp_rate = 0 with no zeros makes E constant "
                 "and phi' identically zero"
             )
+        roots = np.array(self.zeros, dtype=complex)
+        for name, arr in (
+            ("roots", roots),
+            ("conj_roots", np.conj(roots)),
+            ("x_n", roots.real.copy()),
+            ("yhat_n", -roots.imag),
+        ):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def degree(self) -> int:
@@ -129,14 +143,6 @@ class HBSpec:
 def _scalar_if_0d(z, out, kind=complex):
     """out as a Python scalar of the given kind when z is a scalar."""
     return kind(out) if np.ndim(z) == 0 else out
-
-
-@lru_cache(maxsize=512)
-def _zero_data(spec: HBSpec):
-    """Real parts and (positive) reflected imaginary parts of the zeros."""
-    xs = np.array([z.real for z in spec.zeros])
-    ys = np.array([-z.imag for z in spec.zeros])
-    return xs, ys
 
 
 def _reduce_over_zeros(fn, x: np.ndarray, n_zeros: int, dtype=float) -> np.ndarray:
@@ -167,7 +173,7 @@ def eval_E(spec: HBSpec, z, conjugate: bool = False):
     """
     zz = np.asarray(z, dtype=complex)
     sgn = -1.0 if conjugate else 1.0
-    roots = np.conj(np.array(spec.zeros)) if conjugate else np.array(spec.zeros)
+    roots = spec.conj_roots if conjugate else spec.roots
     if spec.degree > _PLAIN_PRODUCT_LIMIT:
 
         def log_product(b):
@@ -208,7 +214,7 @@ def eval_E_prime(spec: HBSpec, z, conjugate: bool = False):
     """
     zz = np.asarray(z, dtype=complex)
     sgn = -1.0 if conjugate else 1.0
-    roots = np.conj(np.array(spec.zeros)) if conjugate else np.array(spec.zeros)
+    roots = spec.conj_roots if conjugate else spec.roots
     logd = -1j * sgn * spec.exp_rate * np.ones_like(zz)
     if spec.degree:
         logd = logd + _reduce_over_zeros(
@@ -275,7 +281,7 @@ def _unanchored_phase(spec: HBSpec, x):
     xx = np.asarray(x, dtype=float)
     acc = 2.0 * spec.exp_rate * xx
     if spec.degree:
-        xs, ys = _zero_data(spec)
+        xs, ys = spec.x_n, spec.yhat_n
 
         def arctans(b):
             d = b[..., None] - xs
@@ -297,7 +303,7 @@ def phase_derivative(spec: HBSpec, x):
     xx = np.asarray(x, dtype=float)
     acc = 2.0 * spec.exp_rate * np.ones_like(xx)
     if spec.degree:
-        xs, ys = _zero_data(spec)
+        xs, ys = spec.x_n, spec.yhat_n
 
         def bumps(b):
             # ys / (d * d + ys * ys), in place
@@ -336,7 +342,7 @@ def phase_derivative_sup(spec: HBSpec) -> PhaseSup:
     """
     if spec.degree == 0:
         return PhaseSup(2.0 * spec.exp_rate, None)
-    xs, ys = _zero_data(spec)
+    xs, ys = spec.x_n, spec.yhat_n
     lo = np.append(xs - 3.0 * ys, np.min(xs - 3.0 * ys))
     hi = np.append(xs + 3.0 * ys, np.max(xs + 3.0 * ys))
     for a, b in zip(lo, hi):
@@ -364,32 +370,37 @@ def phase_limits(profile: PhaseProfile) -> Tuple[float, float]:
     return profile.offset - total, profile.offset + total
 
 
-def solve_phase_level(
-    profile: PhaseProfile, level: float, start: float, tol: float = 1e-14
-) -> float:
+def solve_phase_level(profile: PhaseProfile, level, start: float, tol: float = 1e-14):
     """The unique x with phi(x) = level, bracketed outward from start.
 
-    Raises BracketUnavailableError when the level lies outside the phase
-    range (phi(-inf), phi(+inf)), i.e. phi never reaches it.  The bracket
-    grows geometrically from start, in steps of 2 pi / phi'(start), before
-    the monotone bisection/Newton inversion; inside the range the growth
-    ends, since phi is continuous and reaches every level.
+    level is a scalar, giving a float, or an array of levels, giving the
+    array of their solutions.  Raises BracketUnavailableError when a level
+    lies outside the phase range (phi(-inf), phi(+inf)), i.e. phi never
+    reaches it.  Each bracket grows geometrically from start, in steps of
+    2 pi / phi'(start), until it encloses its level (inside the range the
+    growth ends, since phi is continuous and reaches every level); one
+    monotone_solve call then inverts phi on all of them in lockstep.  Each
+    element of an array takes exactly the steps it would take alone.
     """
+    levels = np.asarray(level, dtype=float)
     lo_lim, hi_lim = phase_limits(profile)
-    if not lo_lim < level < hi_lim:
+    outside = ~((lo_lim < levels) & (levels < hi_lim))
+    if outside.any():
         raise BracketUnavailableError(
-            f"phase level {level} is outside the phase range ({lo_lim}, "
-            f"{hi_lim}): total phase variation insufficient"
+            f"phase level {levels[outside][0]} is outside the phase range "
+            f"({lo_lim}, {hi_lim}): total phase variation insufficient"
         )
-    side = 1.0 if level >= phase(profile, start) else -1.0
-    step = 2 * math.pi / phase_derivative(profile.spec, start)
-    while side * (phase(profile, start + side * step) - level) < 0.0:
-        step *= 2.0
+    side = np.where(levels >= phase(profile, start), 1.0, -1.0)
+    step = np.full(levels.shape, 2 * math.pi / phase_derivative(profile.spec, start))
+    short = side * (phase(profile, start + side * step) - levels) < 0.0
+    while short.any():
+        step = np.where(short, 2.0 * step, step)
+        short = side * (phase(profile, start + side * step) - levels) < 0.0
     probe = start + side * step
     return monotone_solve(
         lambda t: phase(profile, t),
-        level,
-        (min(start, probe), max(start, probe)),
+        levels,
+        (np.minimum(start, probe), np.maximum(start, probe)),
         tol=tol,
         dg=lambda t: phase_derivative(profile.spec, t),
     )
@@ -403,17 +414,17 @@ def phase_bracket(
     xi must lie on the 2*alpha phase level, i.e. B_alpha(xi) = 0 within tol
     relative to |E(xi)|.  Offsets 2 pi, pi and pi/2 give the neighbouring
     zeros of B_alpha, those of A_alpha, and the |A_alpha/E|^2 >= 1/2
-    plateau edges.
+    plateau edges.  Both ends come from one solve_phase_level call.
     """
     _, b = eval_AB(spec, alpha, xi)
     if abs(b) > tol * abs(complex(eval_E(spec, xi))):
         raise ValueError(f"B_alpha({xi}) = {b} is not zero; alpha does not match xi")
     profile = PhaseProfile(spec)
     phi_xi = phase(profile, xi)
-    return (
-        solve_phase_level(profile, phi_xi - offset, xi),
-        solve_phase_level(profile, phi_xi + offset, xi),
-    )
+    left, right = solve_phase_level(
+        profile, np.array([phi_xi - offset, phi_xi + offset]), xi
+    ).tolist()
+    return left, right
 
 
 def level_crossings(
@@ -425,27 +436,34 @@ def level_crossings(
     """All solutions of phi(x) = target (mod 2 pi) inside a finite window.
 
     With target = 2*beta + pi these are exactly the zeros of A_beta, with
-    target = 2*beta the zeros of B_beta.  Monotone bisection/Newton on the
-    closed-form phase, each level bracketed from the previous root;
-    returns a sorted array, possibly empty.
+    target = 2*beta the zeros of B_beta.  phi is evaluated once on a grid of
+    max(65, 4 m + 1) points over the window, m the number of levels it
+    crosses; as phi increases, a binary search of the grid values gives each
+    level the grid cell that encloses it, and one monotone_solve call
+    (bisection/Newton on the closed-form phase) inverts phi on all the cells
+    in lockstep.  Returns a sorted array, possibly empty.
     """
     lo, hi = float(window[0]), float(window[1])
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"window must be finite and nonempty, got ({lo}, {hi})")
-    philo = phase(profile, lo)
-    phihi = phase(profile, hi)
+    philo, phihi = phase(profile, np.array([lo, hi])).tolist()
     two_pi = 2 * math.pi
     kmin = math.ceil((philo - target_mod_2pi) / two_pi - 1e-12)
     kmax = math.floor((phihi - target_mod_2pi) / two_pi + 1e-12)
-    roots = []
-    start = lo
-    for k in range(kmin, kmax + 1):
-        level = target_mod_2pi + two_pi * k
-        if level < philo - 1e-12 or level > phihi + 1e-12:
-            continue
-        start = solve_phase_level(profile, level, start, tol)
-        roots.append(start)
-    return np.clip(np.array(roots), lo, hi)
+    levels = target_mod_2pi + two_pi * np.arange(kmin, kmax + 1)
+    levels = levels[(levels >= philo - 1e-12) & (levels <= phihi + 1e-12)]
+    if not levels.size:
+        return np.empty(0)
+    xs = np.linspace(lo, hi, max(65, 4 * levels.size + 1))
+    cell = np.clip(np.searchsorted(phase(profile, xs), levels), 1, xs.size - 1)
+    roots = monotone_solve(
+        lambda t: phase(profile, t),
+        levels,
+        (xs[cell - 1], xs[cell]),
+        tol=tol,
+        dg=lambda t: phase_derivative(profile.spec, t),
+    )
+    return np.clip(roots, lo, hi)
 
 
 @dataclass(frozen=True)
@@ -639,18 +657,21 @@ class Kernel(StructuredEntire):
         self._jet = self._numerator_jet()
 
     def diagonal(self) -> float:
-        """K_t(t) = (1/2 pi) |E(t)|^2 phi'(t)."""
-        return abs(self._et) ** 2 * phase_derivative(self.spec, self.t) / (2 * math.pi)
+        """K_t(t) = (1/2 pi) |E(t)|^2 phi'(t); OverflowError where the value
+        is not finite in floating point."""
+        try:
+            value = abs(self._et) ** 2 * phase_derivative(self.spec, self.t)
+        except OverflowError:  # a finite |E(t)| above about 1e154
+            value = math.inf
+        if not math.isfinite(value):
+            raise OverflowError(f"K_t(t) at t = {self.t} is not finite in floating point")
+        return value / (2 * math.pi)
 
     def _numerator_jet(self):
         """(N', N'', N''') of N(z) = E(z) conj(E(t)) - E#(z) conj(E#(t)) at t."""
         out = []
         for conjugate, e in ((False, self._et), (True, self._ets)):
-            roots = (
-                np.conj(np.array(self.spec.zeros))
-                if conjugate
-                else np.array(self.spec.zeros)
-            )
+            roots = self.spec.conj_roots if conjugate else self.spec.roots
             sgn = -1.0 if conjugate else 1.0
             d = self.t - roots if self.spec.degree else np.array([])
             l1 = -1j * sgn * self.spec.exp_rate + (np.sum(1.0 / d) if d.size else 0.0)

@@ -120,19 +120,20 @@ def _rotation_candidates(f: RotationRealPart, spec: HBSpec) -> List[_Candidate]:
     # (phi - offset)/2, i.e. |E| cos(pi (j - k)) on the level, for the integer
     # j below; reading the sign off E itself overflows at far crossings
     j = round((profile.offset + 2 * spec.rotation + spec.degree * math.pi) / two_pi)
-    out: List[_Candidate] = []
     # the seven levels around phi(0): callers take the crossings nearest 0
-    for k in range(k0 - 3, k0 + 4):
-        level = 2 * beta_rel + two_pi * k
-        if not lo_lim < level < hi_lim:
-            continue
-        x = solve_phase_level(profile, level, 0.0)
-        out.append(_Candidate(x=x, value=1.0, sign=1 if (j - k) % 2 == 0 else -1))
-    if not out:
+    ks = np.arange(k0 - 3, k0 + 4)
+    levels = 2 * beta_rel + two_pi * ks
+    inside = (lo_lim < levels) & (levels < hi_lim)
+    if not inside.any():
         raise MaxAtInfinityError(
             "B_beta has no real zeros: |f/E| approaches its supremum only at "
             "infinity for this rotation"
         )
+    xs = solve_phase_level(profile, levels[inside], 0.0)
+    out = [
+        _Candidate(x=x, value=1.0, sign=1 if (j - k) % 2 == 0 else -1)
+        for x, k in zip(xs.tolist(), ks[inside].tolist())
+    ]
     out.sort(key=lambda c: abs(c.x))
     return out
 
@@ -523,29 +524,24 @@ def _verify(
     if sign_free and f_at_xi < 0:
         sgn = -1.0
 
-    def raw_margin(x):
-        a, _ = eval_AB(spec, alpha, x)
+    def margins(x):
+        """The raw margin f - norm A_alpha (|f| when sign-free) at the array x,
+        and its scaled form raw / (norm max(1, |E|)), from one E."""
+        e = eval_E(spec, x)
         fx = fe(x)
         if sign_free:
             fx = np.abs(fx)
-        return fx - norm * a
-
-    def scaled_margin(x, raw):
-        e = np.abs(eval_E(spec, np.asarray(x, dtype=float)))
-        return raw / (norm * np.maximum(1.0, e))
+        raw = fx - norm * (np.exp(1j * alpha) * e).real
+        return raw, raw / (norm * np.maximum(1.0, np.abs(e)))
 
     xs = np.linspace(lo, hi, n_grid)
-    raw = raw_margin(xs)
+    raw, scaled = margins(xs)
     # the scan is the margin grid itself; only the refinement evaluates anew
-    neg_worst, worst_x = _refine_max(
-        lambda x: -scaled_margin(x, raw_margin(x)), xs, -scaled_margin(xs, raw), 1e-13
-    )
+    neg_worst, worst_x = _refine_max(lambda x: -margins(x)[1], xs, -scaled, 1e-13)
     min_scaled, worst_x = -float(neg_worst[0]), float(worst_x[0])
-    min_raw = min(
-        float(np.min(raw)), float(raw_margin(np.array([worst_x]))[0])
-    )
+    min_raw = min(float(np.min(raw)), float(margins(np.array([worst_x]))[0][0]))
     e_s = max(1.0, abs(e_xi))
-    equality_gap = abs(float(raw_margin(np.array([xi]))[0])) / norm
+    equality_gap = abs(float(margins(np.array([xi]))[0][0])) / norm
     equality_ok = equality_gap <= tol * e_s
 
     def normalized(x):

@@ -2,13 +2,13 @@
 
 Composite Gauss-Legendre quadrature on intervals and on the whole line
 (arctangent map), log-gamma, monotone root inversion, and windowed
-maximization by coarse scan plus golden-section refinement.  The
-maximization is batched: the scans of many windows are evaluated in one call
-by the caller, and golden_max refines all their brackets in lockstep, one
-call of the objective per iteration on the brackets still live, each bracket
-taking the steps it would take alone (sup_on_window is the one-window case).
-Everything here is a pure function of its inputs and safe to call
-concurrently.
+maximization by coarse scan plus golden-section refinement.  Inversion and
+maximization are batched the same way: monotone_solve inverts at many
+targets, and golden_max refines many brackets, in lockstep, one call of the
+function (and of its derivative) per iteration on the problems still live,
+each problem taking the steps it would take alone (sup_on_window is the
+one-window case of golden_max).  Everything here is a pure function of its
+inputs and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -268,13 +268,13 @@ def log_gamma(x: float) -> float:
 
 
 def monotone_solve(
-    g: Callable[[float], float],
-    target: float,
-    bracket: Tuple[float, float],
+    g: Callable,
+    target,
+    bracket: Tuple,
     tol: float = 1e-13,
-    dg: Optional[Callable[[float], float]] = None,
+    dg: Optional[Callable] = None,
     max_iter: int = 200,
-) -> float:
+):
     """Invert a strictly increasing function on a bracket.
 
     Requires g(lo) <= target <= g(hi).  Plain bisection, with a Newton step
@@ -284,8 +284,25 @@ def monotone_solve(
     is under half the step before last; otherwise Newton can cycle between
     two points across an inflection.  tol is an x-space tolerance; a bracket
     still wider than tol after max_iter steps raises NonConvergenceError.
+
+    target and the bracket ends are scalars, or arrays (broadcast together)
+    of problems solved in lockstep: every iteration calls g once, and dg
+    once, on a 1-D array holding the iterate of each problem whose bracket
+    is still wider than tol; the others are frozen.  Each problem takes
+    exactly the steps it would take alone, so g and dg must evaluate each
+    point of an array as they would that point alone; a BracketError or
+    NonConvergenceError of any problem is raised for the call.  Scalars run
+    on Python floats and return a float; arrays return an array of the
+    broadcast shape.
     """
-    lo, hi = float(bracket[0]), float(bracket[1])
+    lo, hi = bracket
+    if np.ndim(target) == 0 and np.ndim(lo) == 0 and np.ndim(hi) == 0:
+        return _solve_one(g, float(target), float(lo), float(hi), tol, dg, max_iter)
+    return _solve_many(g, target, lo, hi, tol, dg, max_iter)
+
+
+def _solve_one(g, target: float, lo: float, hi: float, tol, dg, max_iter) -> float:
+    """monotone_solve on one problem, with float state and g on floats."""
     if lo > hi:
         raise BracketError(f"empty bracket ({lo}, {hi})")
     glo = g(lo) - target
@@ -332,6 +349,78 @@ def monotone_solve(
     return 0.5 * (lo + hi)
 
 
+def _ev(fn, x: np.ndarray) -> np.ndarray:
+    """fn at the 1-D array x, as a float array of x's shape."""
+    return np.asarray(fn(x), dtype=float).reshape(x.shape)
+
+
+def _solve_many(g, target, lo, hi, tol, dg, max_iter) -> np.ndarray:
+    """monotone_solve on arrays: _solve_one's steps for every problem, in
+    lockstep.  A root found at a bracket end, or hit exactly, collapses its
+    bracket onto that point, so the width test freezes it there; the state
+    of the problems still live (indices live) is compacted as they freeze."""
+    shape = np.broadcast(target, lo, hi).shape
+    target, lo, hi = (
+        np.array(v, dtype=float).reshape(-1) for v in np.broadcast_arrays(target, lo, hi)
+    )
+
+    if np.any(lo > hi):
+        i = np.flatnonzero(lo > hi)[0]
+        raise BracketError(f"empty bracket ({lo[i]}, {hi[i]})")
+    out = np.empty(lo.size)
+    if not out.size:
+        return out.reshape(shape)
+    glo, ghi = np.split(_ev(g, np.concatenate((lo, hi))) - np.tile(target, 2), 2)
+    slack = 1e-12 * (1.0 + np.abs(target))
+    outside = (glo > slack) | (ghi < -slack)
+    if outside.any():
+        i = np.flatnonzero(outside)[0]
+        raise BracketError(
+            f"target {target[i]} not enclosed: g(lo)={glo[i] + target[i]}, "
+            f"g(hi)={ghi[i] + target[i]}"
+        )
+    at_lo = glo >= 0.0
+    lo, hi = np.where(~at_lo & (ghi <= 0.0), hi, lo), np.where(at_lo, lo, hi)
+    live = np.arange(lo.size)
+    x = 0.5 * (lo + hi)
+    last_step = step_before = hi - lo
+    for _ in range(max_iter):
+        done = hi - lo <= tol * (1.0 + np.abs(lo) + np.abs(hi))
+        if done.any():
+            out[live[done]] = 0.5 * (lo + hi)[done]
+            live, target, lo, hi, x, last_step, step_before = (
+                v[~done] for v in (live, target, lo, hi, x, last_step, step_before)
+            )
+        if not live.size:
+            break
+        gx = _ev(g, x) - target
+        lo, hi = np.where(gx > 0.0, lo, x), np.where(gx >= 0.0, x, hi)
+        x_next = 0.5 * (lo + hi)
+        if dg is not None:
+            d = _ev(dg, x)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                cand = x - gx / d
+            newton = (
+                (d > 0.0)
+                & np.isfinite(d)
+                & (lo < cand)
+                & (cand < hi)
+                & (np.abs(cand - x) < 0.5 * step_before)
+            )
+            x_next = np.where(newton, cand, x_next)
+        step_before, last_step = last_step, np.abs(x_next - x)
+        x = x_next
+    wide = ~(hi - lo <= tol * (1.0 + np.abs(lo) + np.abs(hi)))
+    if wide.any():
+        i = np.flatnonzero(wide)[0]
+        raise NonConvergenceError(
+            f"bracket ({lo[i]}, {hi[i]}) still wider than tol={tol} after "
+            f"{max_iter} steps"
+        )
+    out[live] = 0.5 * (lo + hi)
+    return out.reshape(shape)
+
+
 def golden_max(
     h: Callable,
     a,
@@ -356,9 +445,6 @@ def golden_max(
     if np.ndim(a) == 0 and np.ndim(b) == 0:
         return _golden_one(lambda t: float(h(t)), float(a), float(b), tol, max_iter)
 
-    def ev(x):
-        return np.asarray(h(x), dtype=float).reshape(x.shape)
-
     # end_lo, end_hi: every bracket's ends, final once it stops; the state
     # of the brackets still live (indices live) is compacted as they stop
     end_lo, end_hi = (
@@ -366,13 +452,13 @@ def golden_max(
     )
     if end_lo.size == 1:
         lo, hi = float(end_lo[0]), float(end_hi[0])
-        v, x = _golden_one(lambda t: ev(np.array([t]))[0], lo, hi, tol, max_iter)
+        v, x = _golden_one(lambda t: _ev(h, np.array([t]))[0], lo, hi, tol, max_iter)
         return np.array([v]), np.array([x])
     live = np.arange(end_lo.size)
     lo, hi = end_lo.copy(), end_hi.copy()
     x1 = hi - GOLDEN * (hi - lo)
     x2 = lo + GOLDEN * (hi - lo)
-    f1, f2 = np.split(ev(np.concatenate((x1, x2))), 2)
+    f1, f2 = np.split(_ev(h, np.concatenate((x1, x2))), 2)
     for _ in range(max_iter):
         # not "width > target": a NaN width keeps iterating, as alone
         going = ~(hi - lo <= tol * (1.0 + np.abs(lo) + np.abs(hi)))
@@ -387,12 +473,12 @@ def golden_max(
         lo, hi = np.where(up, x1, lo), np.where(up, hi, x2)
         x_in, f_in = np.where(up, x2, x1), np.where(up, f2, f1)
         x_new = np.where(up, lo + GOLDEN * (hi - lo), hi - GOLDEN * (hi - lo))
-        f_new = ev(x_new)
+        f_new = _ev(h, x_new)
         x1, x2 = np.where(up, x_in, x_new), np.where(up, x_new, x_in)
         f1, f2 = np.where(up, f_in, f_new), np.where(up, f_new, f_in)
     end_lo[live], end_hi[live] = lo, hi
     xm = 0.5 * (end_lo + end_hi)
-    return ev(xm), xm
+    return _ev(h, xm), xm
 
 
 def _golden_one(h, lo: float, hi: float, tol: float, max_iter: int):

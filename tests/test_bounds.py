@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_random_spec
+from conftest import make_random_spec, reference_specs
 from debranges.bounds import (
     C2_embedding_norm,
     C2_exact,
@@ -17,7 +17,14 @@ from debranges.bounds import (
     make_bound_report,
     nonasymptotic_bound_pth_power,
 )
-from debranges.hb_core import HBSpec, PhaseProfile, level_crossings, phase_derivative_sup
+from debranges.hb_core import (
+    HBSpec,
+    PhaseProfile,
+    eval_AB,
+    eval_E,
+    level_crossings,
+    phase_derivative_sup,
+)
 from debranges.numerics import integrate
 
 S_PI = HBSpec(exp_rate=math.pi)
@@ -119,6 +126,21 @@ class TestIntervalEnergy:
                     val = interval_energy(spec, float(alpha), p, (roots[i], roots[i + 1]))
                     assert val >= 2 * K_p_closed(p) ** p / sup * (1 - 1e-10)
 
+    @pytest.mark.parametrize("n", [8, 65])
+    def test_equals_the_two_evaluation_integral(self, n):
+        # A_alpha from the same E as |E|: the integral of |A_alpha/E|^p with
+        # A_alpha from eval_AB and |E| from a second eval_E, to the bit
+        spec, alpha = reference_specs()[n], 0.7
+        roots = level_crossings(PhaseProfile(spec), 2 * alpha + math.pi, (-4.0, 4.0))
+        pair = (float(roots[1]), float(roots[2]))
+        for p in (1.0, 2.0):
+            ref = integrate(
+                lambda x: np.abs(eval_AB(spec, alpha, x)[0] / np.abs(eval_E(spec, x))) ** p,
+                pair,
+                singular_points=pair,
+            )
+            assert interval_energy(spec, alpha, p, pair) == ref.value
+
     def test_rejects_non_consecutive(self):
         prof = PhaseProfile(S_PI)
         with pytest.raises(ValueError):
@@ -143,6 +165,13 @@ class TestKernel:
             diag = float(np.real(kernel_eval(spec, xi, xi)))
             oracle = kernel_diagonal_oracle(spec, xi)
             assert abs(diag - oracle) <= 1e-10 * abs(oracle)
+
+    @pytest.mark.parametrize("xi", [5.0, 10.0, 40.0])
+    def test_diagonal_oracle_overflow_raises(self, xi):
+        # E(xi) E'(xi) is past the float range on the 256-zero reference
+        # spec: an error, not NaN
+        with pytest.raises(OverflowError):
+            kernel_diagonal_oracle(reference_specs()[256], xi)
 
     def test_off_diagonal_limit(self, rng):
         spec = make_random_spec(rng, 2, 6)

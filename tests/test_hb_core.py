@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_random_spec
+from conftest import make_random_spec, reference_specs
 from debranges import hb_core
 from debranges.hb_core import (
+    BracketUnavailableError,
     Combination,
     HBSpec,
     Kernel,
@@ -24,6 +25,8 @@ from debranges.hb_core import (
     phase,
     phase_derivative,
     phase_derivative_sup,
+    phase_limits,
+    solve_phase_level,
     spec_from_dict,
     spec_to_dict,
     theta,
@@ -55,6 +58,24 @@ class TestSpecValidation:
     def test_rejects_negative_rate(self):
         with pytest.raises(SpecError):
             HBSpec(exp_rate=-1.0)
+
+
+class TestZeroData:
+    def test_read_only_arrays_of_the_zeros(self):
+        spec = HBSpec(zeros=(1 - 2j, -0.5 - 0.25j), rotation=0.3)
+        assert spec.roots.tolist() == [1 - 2j, -0.5 - 0.25j]
+        assert spec.conj_roots.tolist() == [1 + 2j, -0.5 + 0.25j]
+        assert spec.x_n.tolist() == [1.0, -0.5]
+        assert spec.yhat_n.tolist() == [2.0, 0.25]
+        for arr in (spec.roots, spec.conj_roots, spec.x_n, spec.yhat_n):
+            assert not arr.flags.writeable
+
+    def test_not_part_of_equality_hash_or_repr(self):
+        a = HBSpec(zeros=(-1j, 2 - 1j))
+        b = HBSpec(zeros=(-1j, 2 - 1j))
+        assert a == b and hash(a) == hash(b)
+        assert "roots" not in repr(a)
+        assert HBSpec(exp_rate=1.0).roots.shape == (0,)
 
 
 class TestEvalE:
@@ -301,6 +322,41 @@ class TestLevelCrossings:
         with pytest.raises(ValueError):
             level_crossings(PhaseProfile(TWO), 0.0, (0.0, math.inf))
 
+    def test_one_window_of_256_zeros_takes_few_phase_calls(self, monkeypatch):
+        # one grid scan and one lockstep solve, not a solve per level
+        prof = PhaseProfile(reference_specs()[256])
+        calls = []
+
+        def counting(profile, x):
+            calls.append(np.size(x))
+            return phase(profile, x)
+
+        monkeypatch.setattr(hb_core, "phase", counting)
+        roots = level_crossings(prof, 1.234, (-12.0, 12.0))
+        assert roots.size > 200
+        assert len(calls) <= 64
+
+
+class TestSolvePhaseLevelArrays:
+    def test_equals_scalar_calls(self, rng):
+        for _ in range(10):
+            prof = PhaseProfile(make_random_spec(rng))
+            lo, hi = phase_limits(prof)
+            levels = lo + (hi - lo) * rng.uniform(0.02, 0.98, 7)
+            start = float(rng.uniform(-4.0, 4.0))
+            got = solve_phase_level(prof, levels, start)
+            want = [solve_phase_level(prof, v, start) for v in levels.tolist()]
+            assert got.tolist() == want
+            assert isinstance(want[0], float)
+
+    def test_level_outside_the_range_raises(self):
+        prof = PhaseProfile(TWO)
+        lo, hi = phase_limits(prof)
+        with pytest.raises(BracketUnavailableError):
+            solve_phase_level(prof, hi + 0.1, 0.0)
+        with pytest.raises(BracketUnavailableError):
+            solve_phase_level(prof, np.array([0.5 * (lo + hi), hi + 0.1]), 0.0)
+
 
 class TestWronskianPositivity:
     def test_ab_derivative_inequality(self, rng):
@@ -429,6 +485,15 @@ class TestStructuredEntire:
         k = Kernel(spec, t)
         expected = abs(eval_E(spec, t)) ** 2 * phase_derivative(spec, t) / (2 * math.pi)
         assert abs(k.diagonal() - expected) <= 1e-13 * expected
+
+    @pytest.mark.parametrize("t", [5.0, 10.0, 40.0])
+    def test_kernel_diagonal_overflow_raises(self, t):
+        # |E(t)|^2 is past the float range on the 256-zero reference spec
+        spec = reference_specs()[256]
+        with np.errstate(over="ignore", invalid="ignore"):
+            k = Kernel(spec, t)  # the Taylor jet overflows too; not under test
+        with pytest.raises(OverflowError):
+            k.diagonal()
 
     def test_kernel_hermitian_real_on_axis(self, rng):
         spec = make_random_spec(rng)

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import make_random_spec
+from conftest import make_random_spec, reference_specs
 from debranges import hb_core, hormander
 from debranges.hb_core import (
     Combination,
@@ -115,33 +115,19 @@ class TestLocateExtremum:
         assert norm >= float(np.max(vals)) - 1e-9
 
 
-def _reference_specs():
-    """The hb_verify benchmark specs: zeros from default_rng(0) in this order."""
-    base = np.random.default_rng(0)
-    return {
-        n: HBSpec(
-            zeros=tuple(
-                complex(base.uniform(-3.0, 3.0), base.uniform(-3.0, -0.1))
-                for _ in range(n)
-            )
-        )
-        for n in (3, 256, 8, 128, 24, 65, 64)
-    }
-
-
 class TestWholeLineScan:
     """Windowless extremum search: one scan of x = c + s tan(theta)."""
 
     @pytest.mark.parametrize("n, t", [(8, -0.18160172726167745), (24, 0.5768574068568086)])
     def test_reference_kernels_verify_without_window(self, n, t):
-        spec = _reference_specs()[n]
+        spec = reference_specs()[n]
         rep = verify_theorem1(Kernel(spec, t), spec)
         assert rep.passed
         assert rep.bracket[0] < rep.xi < rep.bracket[1]
 
     def test_reference_kernel_n65_finds_the_peak(self):
         # a narrow peak: a grid that steps over it reports 3.35e18 at x = -0.856
-        spec = _reference_specs()[65]
+        spec = reference_specs()[65]
         k = Kernel(spec, 0.47221112637412643)
         xi, norm = locate_extremum(k, spec)
         assert abs(norm - 1.2345e20) <= 1e-4 * 1.2345e20
@@ -153,14 +139,14 @@ class TestWholeLineScan:
     def test_polished_point_kept_only_if_not_lower(self):
         # Newton on the degree-130 stationarity polynomial moves xi downhill
         # here; keeping that point puts the margin at -1.5e-8 (tolerance 1e-9)
-        spec = _reference_specs()[65]
+        spec = reference_specs()[65]
         rep = verify_theorem1(Kernel(spec, 0.9348719049873533), spec)
         assert rep.passed
         assert rep.min_margin_scaled >= -1e-9
 
     def test_reference_kernel_n256_overflows(self):
         # f and E overflow together on the scan; no numpy warning either
-        spec = _reference_specs()[256]
+        spec = reference_specs()[256]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(OverflowError, match="pass a window"):
@@ -276,7 +262,7 @@ class TestVerifyTheorem1:
         assert done >= 20
 
     def test_local_expansion_reuses_the_bracket(self, monkeypatch):
-        spec = _reference_specs()[8]
+        spec = reference_specs()[8]
         f = RotationRealPart(spec, 1.1)
         calls = []
 
@@ -287,8 +273,9 @@ class TestVerifyTheorem1:
         monkeypatch.setattr(hb_core, "solve_phase_level", counting)
         monkeypatch.setattr(hormander, "solve_phase_level", counting)
         rep = verify_theorem1(f, spec)
-        # seven candidate levels and the two bracket ends, solved once
-        assert len(calls) == 9
+        # seven candidate levels in one call and the two bracket ends in
+        # another, each level solved once
+        assert [np.size(args[1]) for args in calls] == [7, 2]
         monkeypatch.undo()
 
         def normalized(x):
@@ -296,6 +283,33 @@ class TestVerifyTheorem1:
 
         ref = local_expansion_check(normalized, spec, rep.xi, rep.alpha, step=None)
         assert rep.local == ref
+
+    @pytest.mark.parametrize("verify", [verify_theorem1, verify_sign_free])
+    @pytest.mark.parametrize("member", ["rotation", "kernel"])
+    def test_margins_equal_the_two_evaluation_formulas(self, verify, member):
+        # raw margin f - norm A_alpha with A_alpha from eval_AB, scaled
+        # margin raw / (norm max(1, |E|)) from a second eval_E, to the bit
+        spec = reference_specs()[8]
+        if member == "rotation":
+            f, window = RotationRealPart(spec, 0.4), None
+        else:
+            f, window = Kernel(spec, 0.3), (-2.7, 3.3)
+        rep = verify(f, spec, window=window)
+
+        def raw(x):
+            fx = np.real(f.eval(x))
+            if verify is verify_sign_free:
+                fx = np.abs(fx)
+            return fx - rep.norm * eval_AB(spec, rep.alpha, x)[0]
+
+        def scaled(x):
+            return raw(x) / (rep.norm * np.maximum(1.0, np.abs(eval_E(spec, x))))
+
+        worst, xi = np.array([rep.worst_x]), np.array([rep.xi])
+        assert rep.margin.tolist() == raw(rep.margin_x).tolist()
+        assert rep.min_margin_scaled == float(scaled(worst)[0])
+        assert rep.min_margin == min(float(np.min(rep.margin)), float(raw(worst)[0]))
+        assert rep.equality_gap == abs(float(raw(xi)[0])) / rep.norm
 
     def test_margin_profile_rows(self):
         rep = verify_theorem1(RotationRealPart(FOUR, 0.7), FOUR)

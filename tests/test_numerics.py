@@ -119,6 +119,84 @@ class TestMonotoneSolve:
         assert abs(g(root) - target) <= 1e-12
 
 
+class TestMonotoneSolveArrays:
+    """Array targets and brackets: the scalar steps, in lockstep."""
+
+    XS = np.array([2.162147387677247, -1.3994014085593256, -0.5797872174145859])
+    YS = np.array([1.6016554392754765, 1.993517284543199, 0.31892359013144933])
+
+    def g(self, x):
+        return 2 * np.sum(np.arctan((np.asarray(x)[..., None] - self.XS) / self.YS), axis=-1)
+
+    def dg(self, x):
+        d = np.asarray(x)[..., None] - self.XS
+        return 2 * np.sum(self.YS / (d * d + self.YS * self.YS), axis=-1)
+
+    def problems(self, rng, n=40):
+        lo = rng.uniform(-4.0, 0.0, n)
+        hi = lo + rng.uniform(0.5, 6.0, n)
+        u = rng.uniform(0.0, 1.0, n)
+        target = self.g(lo) + u * (self.g(hi) - self.g(lo))
+        # targets on a bracket end, and a bracket of width zero
+        target[:2], hi[2] = self.g(lo[:2]), lo[2]
+        target[2] = self.g(lo[2])
+        return target, lo, hi
+
+    @pytest.mark.parametrize("newton", [False, True])
+    def test_equals_scalar_calls(self, rng, newton):
+        target, lo, hi = self.problems(rng)
+        dg = self.dg if newton else None
+        calls = []
+
+        def g(x):
+            calls.append(np.size(x))
+            return self.g(x)
+
+        got = monotone_solve(g, target, (lo, hi), dg=dg)
+        want, scalar_calls = [], []
+        for t, a, b in zip(target.tolist(), lo.tolist(), hi.tolist()):
+            n0 = len(calls)
+            want.append(monotone_solve(g, t, (a, b), dg=dg))
+            scalar_calls.append(len(calls) - n0)
+        assert isinstance(want[0], float)
+        assert got.tolist() == want
+        # one call for both ends of every bracket, then one per iteration
+        assert calls[0] == 2 * target.size
+        assert len(calls) - sum(scalar_calls) == max(scalar_calls) - 1
+
+    def test_broadcasts_a_scalar_bracket(self, rng):
+        targets = self.g(rng.uniform(-2.8, 4.2, 5))
+        got = monotone_solve(self.g, targets, (-2.9, 4.3), dg=self.dg)
+        want = [monotone_solve(self.g, t, (-2.9, 4.3), dg=self.dg) for t in targets.tolist()]
+        assert got.tolist() == want
+        assert monotone_solve(self.g, np.empty(0), (-2.9, 4.3)).shape == (0,)
+
+    def test_exact_hits_and_end_roots(self):
+        # midpoints land on 0.5 and 0.25 exactly; 0 and 1 are bracket ends
+        targets = np.array([0.5, 0.25, 0.3, 0.0, 1.0])
+        got = monotone_solve(lambda x: x, targets, (0.0, 1.0))
+        want = [monotone_solve(lambda x: x, t, (0.0, 1.0)) for t in targets.tolist()]
+        assert got.tolist() == want == [0.5, 0.25, want[2], 0.0, 1.0]
+
+    def test_errors_as_scalar_calls(self, rng):
+        target, lo, hi = self.problems(rng, 6)
+        outside = target.copy()
+        outside[4] = self.g(hi[4]) + 1.0
+        with pytest.raises(BracketError):
+            monotone_solve(self.g, outside[4], (lo[4], hi[4]))
+        with pytest.raises(BracketError):
+            monotone_solve(self.g, outside, (lo, hi))
+        swapped = lo.copy()
+        swapped[3] = hi[3] + 1.0
+        with pytest.raises(BracketError):
+            monotone_solve(self.g, target, (swapped, hi))
+        # three steps leave most brackets wide; a scalar call on one fails too
+        with pytest.raises(NonConvergenceError):
+            monotone_solve(self.g, float(target[5]), (lo[5], hi[5]), max_iter=3)
+        with pytest.raises(NonConvergenceError):
+            monotone_solve(self.g, target, (lo, hi), max_iter=3)
+
+
 class TestSupOnWindow:
     def test_cos(self):
         v, x = sup_on_window(np.cos, (-2.0, 2.0))

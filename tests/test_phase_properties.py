@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import reference_specs
+
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
@@ -75,6 +77,15 @@ def test_solution_meets_level(spec, u, start):
 
 
 @fast
+@given(specs, st.lists(unit, min_size=1, max_size=9), st.floats(-5.0, 5.0))
+def test_array_of_levels_equals_scalar_calls(spec, us, start):
+    profile = PhaseProfile(spec)
+    levels = np.array([_level_in_range(profile, u) for u in us])
+    got = solve_phase_level(profile, levels, start)
+    assert got.tolist() == [solve_phase_level(profile, v, start) for v in levels.tolist()]
+
+
+@fast
 @given(specs, st.floats(-4.0, 4.0))
 def test_brackets_are_the_crossings_next_to_xi(spec, xi):
     profile = PhaseProfile(spec)
@@ -99,12 +110,44 @@ def test_brackets_are_the_crossings_next_to_xi(spec, xi):
         assert abs(above[0] - right) <= 1e-9 * (1.0 + abs(right))
 
 
+def _per_level_crossings(profile, target, window):
+    """level_crossings one level at a time, each bracketed outward from the
+    root before it by the scalar solve_phase_level."""
+    lo, hi = window
+    philo, phihi = phase(profile, lo), phase(profile, hi)
+    kmin = math.ceil((philo - target) / (2 * math.pi) - 1e-12)
+    kmax = math.floor((phihi - target) / (2 * math.pi) + 1e-12)
+    roots, start = [], lo
+    for k in range(kmin, kmax + 1):
+        level = target + 2 * math.pi * k
+        if philo - 1e-12 <= level <= phihi + 1e-12:
+            start = solve_phase_level(profile, level, start, 1e-13)
+            roots.append(start)
+    return np.clip(np.array(roots), lo, hi)
+
+
+def _assert_matches_per_level(profile, target, window):
+    roots = level_crossings(profile, target, window)
+    ref = _per_level_crossings(profile, target, window)
+    assert roots.shape == ref.shape
+    assert np.all(np.abs(roots - ref) <= 2e-13 * (1.0 + np.abs(ref)))
+    return roots
+
+
+@pytest.mark.parametrize("n", [3, 8, 24, 64, 65, 128, 256])
+def test_crossings_match_per_level_solves_on_reference_specs(n):
+    profile = PhaseProfile(reference_specs()[n])
+    for beta in (0.0, 0.4, 1.3, 2.9):
+        for target in (2 * beta + math.pi, 2 * beta):
+            _assert_matches_per_level(profile, target, (-12.0, 12.0))
+
+
 @fast
 @given(specs, st.floats(0.0, math.pi))
 def test_a_and_b_zeros_interlace(spec, beta):
     profile = PhaseProfile(spec)
-    za = level_crossings(profile, 2 * beta + math.pi, (-12.0, 12.0))
-    zb = level_crossings(profile, 2 * beta, (-12.0, 12.0))
+    za = _assert_matches_per_level(profile, 2 * beta + math.pi, (-12.0, 12.0))
+    zb = _assert_matches_per_level(profile, 2 * beta, (-12.0, 12.0))
     for roots, target in ((za, 2 * beta + math.pi), (zb, 2 * beta)):
         # level_crossings solves to 1e-13 (1 + 2|x|) in x
         turns = (phase(profile, roots) - target) / (2 * math.pi)
