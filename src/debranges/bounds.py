@@ -23,6 +23,7 @@ from .hb_core import (
     phase,
     phase_derivative,
     phase_derivative_sup,
+    rotate,
 )
 from .numerics import QuadratureScheme, integrate, log_gamma
 
@@ -135,7 +136,7 @@ def interval_energy(
 
     def ratio_pow(x):
         e = eval_E(spec, x)
-        return np.abs((np.exp(1j * alpha) * e).real / np.abs(e)) ** p
+        return np.abs(rotate(e, alpha)[0] / np.abs(e)) ** p
 
     res = integrate(ratio_pow, (a_l, a_r), scheme, singular_points=(a_l, a_r))
 

@@ -33,6 +33,7 @@ __all__ = [
     "eval_E",
     "eval_E_prime",
     "eval_AB",
+    "rotate",
     "theta",
     "phase",
     "phase_derivative",
@@ -229,7 +230,14 @@ def eval_E_prime(spec: HBSpec, z, conjugate: bool = False):
 
 def eval_AB(spec: HBSpec, beta: float, x):
     """(A_beta(x), B_beta(x)): real and imaginary parts of e^{i beta} E(x)."""
-    w = _scalar_if_0d(x, np.exp(1j * beta) * eval_E(spec, np.asarray(x, dtype=float)))
+    a, b = rotate(eval_E(spec, np.asarray(x, dtype=float)), beta)
+    return _scalar_if_0d(x, a, float), _scalar_if_0d(x, b, float)
+
+
+def rotate(e, beta: float):
+    """(A_beta, B_beta) from values e of E already evaluated on the real axis:
+    the real and imaginary parts of e^{i beta} e."""
+    w = np.exp(1j * beta) * e
     return w.real, w.imag
 
 

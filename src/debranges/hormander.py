@@ -35,6 +35,7 @@ from .hb_core import (
     phase,
     phase_bracket,
     phase_limits,
+    rotate,
     same_de_branges_space,
     solve_phase_level,
 )
@@ -531,7 +532,7 @@ def _verify(
         fx = fe(x)
         if sign_free:
             fx = np.abs(fx)
-        raw = fx - norm * (np.exp(1j * alpha) * e).real
+        raw = fx - norm * rotate(e, alpha)[0]
         return raw, raw / (norm * np.maximum(1.0, np.abs(e)))
 
     xs = np.linspace(lo, hi, n_grid)

@@ -291,62 +291,21 @@ def monotone_solve(
     is still wider than tol; the others are frozen.  Each problem takes
     exactly the steps it would take alone, so g and dg must evaluate each
     point of an array as they would that point alone; a BracketError or
-    NonConvergenceError of any problem is raised for the call.  Scalars run
-    on Python floats and return a float; arrays return an array of the
-    broadcast shape.
+    NonConvergenceError of any problem is raised for the call.  A scalar
+    problem is the one-problem run, with g and dg called on Python floats,
+    and returns a float; arrays return an array of the broadcast shape.
     """
     lo, hi = bracket
     if np.ndim(target) == 0 and np.ndim(lo) == 0 and np.ndim(hi) == 0:
-        return _solve_one(g, float(target), float(lo), float(hi), tol, dg, max_iter)
+        # one problem: g and dg see the Python floats they would alone
+        dg = None if dg is None else _per_point(dg)
+        return float(_solve_many(_per_point(g), target, lo, hi, tol, dg, max_iter))
     return _solve_many(g, target, lo, hi, tol, dg, max_iter)
 
 
-def _solve_one(g, target: float, lo: float, hi: float, tol, dg, max_iter) -> float:
-    """monotone_solve on one problem, with float state and g on floats."""
-    if lo > hi:
-        raise BracketError(f"empty bracket ({lo}, {hi})")
-    glo = g(lo) - target
-    ghi = g(hi) - target
-    slack = 1e-12 * (1.0 + abs(target))
-    if glo > slack or ghi < -slack:
-        raise BracketError(
-            f"target {target} not enclosed: g(lo)={glo + target}, g(hi)={ghi + target}"
-        )
-    if glo >= 0.0:
-        return lo
-    if ghi <= 0.0:
-        return hi
-
-    def converged():
-        return hi - lo <= tol * (1.0 + abs(lo) + abs(hi))
-
-    x = 0.5 * (lo + hi)
-    last_step = step_before = hi - lo
-    for _ in range(max_iter):
-        if converged():
-            break
-        gx = g(x) - target
-        if gx == 0.0:
-            return x
-        if gx > 0.0:
-            hi = x
-        else:
-            lo = x
-        x_new = None
-        if dg is not None:
-            d = dg(x)
-            if d > 0.0 and math.isfinite(d):
-                cand = x - gx / d
-                if lo < cand < hi and abs(cand - x) < 0.5 * step_before:
-                    x_new = cand
-        x_next = x_new if x_new is not None else 0.5 * (lo + hi)
-        step_before, last_step = last_step, abs(x_next - x)
-        x = x_next
-    if not converged():
-        raise NonConvergenceError(
-            f"bracket ({lo}, {hi}) still wider than tol={tol} after {max_iter} steps"
-        )
-    return 0.5 * (lo + hi)
+def _per_point(fn: Callable) -> Callable:
+    """fn mapped over a 1-D array, one Python float at a time."""
+    return lambda x: [fn(float(t)) for t in x]
 
 
 def _ev(fn, x: np.ndarray) -> np.ndarray:
@@ -355,10 +314,10 @@ def _ev(fn, x: np.ndarray) -> np.ndarray:
 
 
 def _solve_many(g, target, lo, hi, tol, dg, max_iter) -> np.ndarray:
-    """monotone_solve on arrays: _solve_one's steps for every problem, in
-    lockstep.  A root found at a bracket end, or hit exactly, collapses its
-    bracket onto that point, so the width test freezes it there; the state
-    of the problems still live (indices live) is compacted as they freeze."""
+    """monotone_solve's rtsafe steps for every problem, in lockstep.  A root
+    found at a bracket end, or hit exactly, collapses its bracket onto that
+    point, so the width test freezes it there; the state of the problems
+    still live (indices live) is compacted as they freeze."""
     shape = np.broadcast(target, lo, hi).shape
     target, lo, hi = (
         np.array(v, dtype=float).reshape(-1) for v in np.broadcast_arrays(target, lo, hi)

@@ -118,6 +118,47 @@ class TestMonotoneSolve:
         root = monotone_solve(g, target, (-2.8865540402936194, 4.283122354426706), dg=dg)
         assert abs(g(root) - target) <= 1e-12
 
+    @staticmethod
+    def rtsafe(g, target, lo, hi, dg, tol=1e-13):
+        """Numerical Recipes' rtsafe written out on floats: the reference."""
+        if g(lo) >= target:
+            return lo
+        if g(hi) <= target:
+            return hi
+        x = 0.5 * (lo + hi)
+        last_step = step_before = hi - lo
+        while hi - lo > tol * (1.0 + abs(lo) + abs(hi)):
+            gx = g(x) - target
+            if gx == 0.0:
+                return x
+            lo, hi = (lo, x) if gx > 0.0 else (x, hi)
+            x_next = 0.5 * (lo + hi)
+            if dg is not None:
+                cand = x - gx / dg(x)
+                if lo < cand < hi and abs(cand - x) < 0.5 * step_before:
+                    x_next = cand
+            step_before, last_step = last_step, abs(x_next - x)
+            x = x_next
+        return 0.5 * (lo + hi)
+
+    @pytest.mark.parametrize("newton", [False, True])
+    def test_scalar_steps_are_rtsafe_on_floats(self, rng, newton):
+        seen = set()
+
+        def g(x):
+            seen.add(type(x))
+            return x ** 3 + 2.0 * x + math.sin(3.0 * x)
+
+        dg = (lambda x: 3.0 * x * x + 2.0 + 3.0 * math.cos(3.0 * x)) if newton else None
+        for _ in range(40):
+            lo = float(rng.uniform(-3.0, 0.0))
+            hi = lo + float(rng.uniform(0.5, 4.0))
+            target = g(lo) + float(rng.uniform(0.0, 1.0)) * (g(hi) - g(lo))
+            root = monotone_solve(g, target, (lo, hi), dg=dg)
+            assert type(root) is float
+            assert root == self.rtsafe(g, target, lo, hi, dg)
+        assert seen == {float}
+
 
 class TestMonotoneSolveArrays:
     """Array targets and brackets: the scalar steps, in lockstep."""
