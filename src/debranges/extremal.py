@@ -34,6 +34,7 @@ from .hb_core import (
 from .numerics import (
     NonConvergenceError,
     QuadratureScheme,
+    _graded_kinks,
     _grid,
     _integrate_batch,
     integrate,
@@ -584,21 +585,29 @@ def solve(problem: ExtremalProblem, seed: Optional[int] = None) -> ExtremalSolut
 
     zeros = basis.real_zeros(c_star)
 
-    def ratio_pow(c):
-        return lambda x: np.abs(
-            np.real(basis.eval(c, x)) / np.abs(eval_E(problem.spec, x))
-        ) ** p
-
-    splits = list(zeros) if p < 2 else []
+    splits = zeros if p < 2 else []
     scheme = QuadratureScheme(panels=16, max_refinements=8)
-    # exact norm of the unscaled optimum, with panels split at the zeros
-    res = integrate(ratio_pow(c_star), basis.domain, scheme, singular_points=splits)
-    norm_p = res.value ** (1.0 / p)
+
+    def norm_pth_power(c):
+        """int |f/E|^p for the coefficients c, with panel edges at the zeros
+        of f below p = 2: integrate's panels graded toward them for
+        non-integer p, plain edges for integer p (numerics._graded_kinks)."""
+
+        def ratio_pow(x):
+            return np.abs(np.real(basis.eval(c, x)) / np.abs(eval_E(problem.spec, x))) ** p
+
+        if _graded_kinks(p):
+            return integrate(ratio_pow, basis.domain, scheme, singular_points=splits).value
+        return _integrate_batch(
+            lambda x, active: [ratio_pow(x)], 1, basis.domain, scheme, splits, graded=False
+        )[0].value
+
+    # exact norm of the unscaled optimum
+    norm_p = norm_pth_power(c_star) ** (1.0 / p)
     c_final = c_star / norm_p
     C_value = 1.0 / norm_p
     # residual of ||f/E||_p = 1 after rescaling, re-measured independently
-    unit = integrate(ratio_pow(c_final), basis.domain, scheme, singular_points=splits)
-    norm_residual = abs(unit.value ** (1.0 / p) - 1.0)
+    norm_residual = abs(norm_pth_power(c_final) ** (1.0 / p) - 1.0)
 
     provisional = ExtremalSolution(
         p=p,
@@ -702,7 +711,8 @@ def orthogonality_residual(
     integral of (x-xi)^2 |f|^p / ((x-lambda_a)(x-lambda_b) |E|^p) vanishes at
     a true optimum; it is returned normalized by the same integral with the
     denominator in absolute value.  Quadrature panels are split at the zeros
-    of f (the integrand has |x - lambda|^{p-1} kinks there).
+    of f (the integrand has |x - lambda|^{p-1} kinks there), and graded
+    toward them for non-integer p.
     """
     return _orthogonality_residuals(sol, [r_numerator_zeros])[0]
 
@@ -716,6 +726,10 @@ def _orthogonality_residuals(
     The pair-independent weight (x-xi)^2 |f|^p / |E|^p is evaluated once per
     block of nodes, and each pair's absolute and signed sums are taken from
     it; panels are split at the zeros of f and at every pair's endpoints.
+    The kinks there, |x - lambda|^{p-1} and |x - lambda|^p, have integer
+    exponents at integer p, where each side is analytic and a plain panel
+    edge keeps the rule's geometric convergence; the panels are graded toward
+    them only for non-integer p (numerics._graded_kinks).
     """
     pairs = [(float(la), float(lb)) for la, lb in pairs]
     if not pairs:
@@ -748,6 +762,7 @@ def _orthogonality_residuals(
     res = _integrate_batch(
         integrands, m, sol._basis.domain, scheme, splits,
         partners=[j - 1 if j % 2 else None for j in range(m)],
+        graded=_graded_kinks(p),
     )
     out = []
     for den, num in zip(res[0::2], res[1::2]):

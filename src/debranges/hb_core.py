@@ -649,7 +649,8 @@ class Kernel(StructuredEntire):
     Near the diagonal the quotient loses eps/|z - t| digits to cancellation,
     so a quadratic Taylor form (exact E derivatives through third order)
     bridges |z - t| below 1e-4 (1 + |t|); its value at t is the diagonal
-    formula exactly.
+    formula exactly.  A node where E(t), E#(t) or that jet is not finite in
+    floating point raises OverflowError, not a kernel that evaluates to NaN.
     """
 
     _DIAGONAL_WINDOW = 1e-4
@@ -660,9 +661,15 @@ class Kernel(StructuredEntire):
         self.spec = spec
         self.t = float(t)
         # E(t), E#(t) and the numerator jet depend on t alone: once per kernel
-        self._et = complex(eval_E(spec, self.t))
-        self._ets = complex(eval_E(spec, self.t, conjugate=True))
-        self._jet = self._numerator_jet()
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._et = complex(eval_E(spec, self.t))
+            self._ets = complex(eval_E(spec, self.t, conjugate=True))
+            self._jet = self._numerator_jet()
+        if not all(cmath.isfinite(v) for v in (self._et, self._ets, *self._jet)):
+            raise OverflowError(
+                f"E, E# or the kernel's Taylor jet at t = {self.t} is not finite "
+                "in floating point"
+            )
 
     def diagonal(self) -> float:
         """K_t(t) = (1/2 pi) |E(t)|^2 phi'(t); OverflowError where the value

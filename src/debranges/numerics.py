@@ -9,6 +9,14 @@ function (and of its derivative) per iteration on the problems still live,
 each problem taking the steps it would take alone (sup_on_window is the
 one-window case of golden_max).  Everything here is a pure function of its
 inputs and safe to call concurrently.
+
+Quadrature puts a panel edge at every declared singular point s, a kink
+|x - s|^q of the integrand.  Where q is not an integer the panels are also
+graded geometrically toward s, 47 levels deep, since on a panel that holds
+such a kink the rule converges only algebraically.  Where q is an integer,
+as in the interval energies and zero-pair integrals at integer p, each side
+of s is analytic and the plain edge already gives Gauss-Legendre its
+geometric convergence; _graded_kinks(p) is the one place that decides.
 """
 
 from __future__ import annotations
@@ -97,48 +105,54 @@ def _halve(edges: np.ndarray) -> np.ndarray:
     return out
 
 
-def _graded_edges(a: float, b: float, panels: int, singular: Sequence[float]) -> np.ndarray:
-    base = list(np.linspace(a, b, panels + 1))
-    pts = sorted({float(s) for s in singular if a <= s <= b})
-    edges = sorted(set(base) | set(pts))
-    out = set(edges)
-    for s in pts:
-        # geometric grading on both sides of each singular point, limited by
-        # the nearest existing edge; steps stop above the ulp scale so no
-        # zero-width panels appear
-        floor_step = 8.0 * np.finfo(float).eps * max(1.0, abs(s))
-        left = max((e for e in edges if e < s), default=None)
-        right = min((e for e in edges if e > s), default=None)
-        if left is not None:
-            d = s - left
-            out.update(
-                s - d * 0.5 ** k
-                for k in range(1, _GRADING_DEPTH)
-                if d * 0.5 ** k >= floor_step
-            )
-        if right is not None:
-            d = right - s
-            out.update(
-                s + d * 0.5 ** k
-                for k in range(1, _GRADING_DEPTH)
-                if d * 0.5 ** k >= floor_step
-            )
-    arr = np.array(sorted(out))
-    return arr[np.concatenate(([True], np.diff(arr) > 0.0))]
+def _graded_edges(
+    a: float, b: float, panels: int, singular: Sequence[float], graded: bool = True
+) -> np.ndarray:
+    pts = np.unique([float(s) for s in singular if a <= s <= b])
+    edges = np.union1d(np.linspace(a, b, panels + 1), pts)
+    if not (graded and pts.size):
+        return edges
+    # geometric grading on both sides of each singular point, limited by the
+    # nearest other edge; steps stop above the ulp scale so no zero-width
+    # panels appear
+    i = np.searchsorted(edges, pts)
+    floor_step = 8.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(pts))
+    halvings = np.ldexp(1.0, -np.arange(1, _GRADING_DEPTH))
+    levels = [edges]
+    for side, has_edge, gap in (
+        (-1.0, i > 0, pts - edges[np.maximum(i - 1, 0)]),
+        (1.0, i < edges.size - 1, edges[np.minimum(i + 1, edges.size - 1)] - pts),
+    ):
+        steps = gap[:, None] * halvings[None, :]
+        keep = has_edge[:, None] & (steps >= floor_step[:, None])
+        levels.append((pts[:, None] + side * steps)[keep])
+    return np.unique(np.concatenate(levels))
+
+
+def _graded_kinks(p: float) -> bool:
+    """Whether the |x - s|^q kinks of a p-th power integrand (q in p + Z)
+    need graded panels: where p is an integer each side of a kink is
+    analytic, so a plain panel edge at s keeps Gauss-Legendre's geometric
+    convergence, and grading toward it only multiplies the nodes."""
+    return not float(p).is_integer()
 
 
 def _mapped_edges(
-    domain: Optional[Tuple[float, float]], panels: int, singular_points: Iterable[float]
+    domain: Optional[Tuple[float, float]],
+    panels: int,
+    singular_points: Iterable[float],
+    graded: bool = True,
 ) -> Tuple[np.ndarray, bool]:
-    """Panel edges graded toward the singular points, and whether they are
-    theta-edges of the x = tan(theta) map (domain None or (-inf, inf))."""
+    """Panel edges at the singular points, graded toward them if graded, and
+    whether they are theta-edges of the x = tan(theta) map (domain None or
+    (-inf, inf))."""
     if domain is None or (math.isinf(domain[0]) and math.isinf(domain[1])):
         sing = [math.atan(s) for s in singular_points]
-        return _graded_edges(-math.pi / 2, math.pi / 2, panels, sing), True
+        return _graded_edges(-math.pi / 2, math.pi / 2, panels, sing, graded), True
     a, b = domain
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError(f"invalid domain ({a}, {b})")
-    return _graded_edges(a, b, panels, list(singular_points)), False
+    return _graded_edges(a, b, panels, list(singular_points), graded), False
 
 
 def _grid(domain, panels: int, nodes: int, splits: Iterable[float] = ()):
@@ -199,6 +213,7 @@ def _integrate_batch(
     singular_points: Iterable[float] = (),
     scale_hint: float = 0.0,
     partners: Optional[Sequence[Optional[int]]] = None,
+    graded: bool = True,
 ) -> List[IntegralResult]:
     """Integrate m real integrands on one shared, panel-doubled grid.
 
@@ -207,11 +222,13 @@ def _integrate_batch(
     to them is done once per block of nodes.  Each integrand stops at the
     level, and with the value, that integrate would give it alone: its scale
     hint is scale_hint or, where partners[j] is set (an index below j), the
-    final value of that integrand.  Only per-level sums are kept.
+    final value of that integrand.  Only per-level sums are kept.  Panels
+    are graded toward the singular points if graded, else only split there
+    (see _graded_kinks).
     """
     scheme = scheme or DEFAULT_SCHEME
     partners = partners or [None] * m
-    edges, line = _mapped_edges(domain, scheme.panels, singular_points)
+    edges, line = _mapped_edges(domain, scheme.panels, singular_points, graded)
     sums: List[List[float]] = [[] for _ in range(m)]
     results: List[Optional[IntegralResult]] = [None] * m
     for level in range(scheme.max_refinements + 1):
@@ -246,8 +263,11 @@ def integrate(
     in which case the arctangent substitution is applied and the integrand
     must decay at least like |x|^(-1-eps).  singular_points mark locations of
     |x - s|^p-type kinks; panels are geometrically graded toward them so the
-    composite rule keeps its accuracy.  The error estimate comes from panel
-    doubling; convergence is judged relative to max(|value|, scale_hint).
+    composite rule keeps its accuracy for any p.  Where the kink exponent is
+    an integer a plain panel edge at s is enough (see _graded_kinks); the
+    library's own integer-p integrals take that rule through _integrate_batch.
+    The error estimate comes from panel doubling; convergence is judged
+    relative to max(|value|, scale_hint).
     """
     return _integrate_batch(
         lambda x, active: [f(x)], 1, domain, scheme, singular_points, scale_hint
@@ -282,15 +302,17 @@ def monotone_solve(
     maintained, so the hybrid cannot escape.  As in Numerical Recipes'
     rtsafe, a Newton step is taken only if it stays inside the bracket and
     is under half the step before last; otherwise Newton can cycle between
-    two points across an inflection.  tol is an x-space tolerance; a bracket
-    still wider than tol after max_iter steps raises NonConvergenceError.
+    two points across an inflection.  tol is an x-space tolerance: a problem
+    stops once its bracket is within tol (1 + |lo| + |hi|), or, as in rtsafe,
+    once an accepted Newton step is within 0.5 tol (1 + |x|); a problem
+    stopped by neither after max_iter steps raises NonConvergenceError.
 
     target and the bracket ends are scalars, or arrays (broadcast together)
     of problems solved in lockstep: every iteration calls g once, and dg
-    once, on a 1-D array holding the iterate of each problem whose bracket
-    is still wider than tol; the others are frozen.  Each problem takes
-    exactly the steps it would take alone, so g and dg must evaluate each
-    point of an array as they would that point alone; a BracketError or
+    once, on a 1-D array holding the iterate of each problem not yet
+    stopped; the others are frozen.  Each problem takes exactly the steps
+    it would take alone, so g and dg must evaluate each point of an array
+    as they would that point alone; a BracketError or
     NonConvergenceError of any problem is raised for the call.  A scalar
     problem is the one-problem run, with g and dg called on Python floats,
     and returns a float; arrays return an array of the broadcast shape.
@@ -316,8 +338,11 @@ def _ev(fn, x: np.ndarray) -> np.ndarray:
 def _solve_many(g, target, lo, hi, tol, dg, max_iter) -> np.ndarray:
     """monotone_solve's rtsafe steps for every problem, in lockstep.  A root
     found at a bracket end, or hit exactly, collapses its bracket onto that
-    point, so the width test freezes it there; the state of the problems
-    still live (indices live) is compacted as they freeze."""
+    point, so the width test freezes it there; as in rtsafe, a problem is
+    also frozen, on its new iterate, once an accepted Newton step is within
+    0.5 tol (1 + |x|), else Newton converging from one side leaves the far
+    end in place and bisections follow.  The state of the problems still
+    live (indices live) is compacted as they freeze."""
     shape = np.broadcast(target, lo, hi).shape
     target, lo, hi = (
         np.array(v, dtype=float).reshape(-1) for v in np.broadcast_arrays(target, lo, hi)
@@ -343,13 +368,15 @@ def _solve_many(g, target, lo, hi, tol, dg, max_iter) -> np.ndarray:
     live = np.arange(lo.size)
     x = 0.5 * (lo + hi)
     last_step = step_before = hi - lo
+    settled = np.zeros(lo.size, dtype=bool)
     for _ in range(max_iter):
-        done = hi - lo <= tol * (1.0 + np.abs(lo) + np.abs(hi))
+        done = settled | (hi - lo <= tol * (1.0 + np.abs(lo) + np.abs(hi)))
         if done.any():
-            out[live[done]] = 0.5 * (lo + hi)[done]
+            out[live[done]] = np.where(settled, x, 0.5 * (lo + hi))[done]
             live, target, lo, hi, x, last_step, step_before = (
                 v[~done] for v in (live, target, lo, hi, x, last_step, step_before)
             )
+            settled = settled[~done]
         if not live.size:
             break
         gx = _ev(g, x) - target
@@ -367,16 +394,17 @@ def _solve_many(g, target, lo, hi, tol, dg, max_iter) -> np.ndarray:
                 & (np.abs(cand - x) < 0.5 * step_before)
             )
             x_next = np.where(newton, cand, x_next)
+            settled = newton & (np.abs(cand - x) <= 0.5 * tol * (1.0 + np.abs(x)))
         step_before, last_step = last_step, np.abs(x_next - x)
         x = x_next
-    wide = ~(hi - lo <= tol * (1.0 + np.abs(lo) + np.abs(hi)))
+    wide = ~settled & ~(hi - lo <= tol * (1.0 + np.abs(lo) + np.abs(hi)))
     if wide.any():
         i = np.flatnonzero(wide)[0]
         raise NonConvergenceError(
             f"bracket ({lo[i]}, {hi[i]}) still wider than tol={tol} after "
             f"{max_iter} steps"
         )
-    out[live] = 0.5 * (lo + hi)
+    out[live] = np.where(settled, x, 0.5 * (lo + hi))
     return out.reshape(shape)
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import debranges.bounds as B
 from conftest import make_random_spec, reference_specs
 from debranges.bounds import (
     C2_embedding_norm,
@@ -25,7 +26,7 @@ from debranges.hb_core import (
     level_crossings,
     phase_derivative_sup,
 )
-from debranges.numerics import integrate
+from debranges.numerics import _integrate_batch, integrate
 
 S_PI = HBSpec(exp_rate=math.pi)
 ONE = HBSpec(zeros=(-1j,))
@@ -129,17 +130,38 @@ class TestIntervalEnergy:
     @pytest.mark.parametrize("n", [8, 65])
     def test_equals_the_two_evaluation_integral(self, n):
         # A_alpha from the same E as |E|: the integral of |A_alpha/E|^p with
-        # A_alpha from eval_AB and |E| from a second eval_E, to the bit
+        # A_alpha from eval_AB and |E| from a second eval_E, to the bit, on
+        # the grid interval_energy uses: graded toward the ends only for
+        # non-integer p
         spec, alpha = reference_specs()[n], 0.7
         roots = level_crossings(PhaseProfile(spec), 2 * alpha + math.pi, (-4.0, 4.0))
         pair = (float(roots[1]), float(roots[2]))
-        for p in (1.0, 2.0):
-            ref = integrate(
-                lambda x: np.abs(eval_AB(spec, alpha, x)[0] / np.abs(eval_E(spec, x))) ** p,
-                pair,
-                singular_points=pair,
-            )
+        for p, graded in ((1.0, False), (1.5, True), (2.0, False)):
+            ref = _integrate_batch(
+                lambda x, active: [
+                    np.abs(eval_AB(spec, alpha, x)[0] / np.abs(eval_E(spec, x))) ** p
+                ],
+                1, pair, None, pair, graded=graded,
+            )[0]
             assert interval_energy(spec, alpha, p, pair) == ref.value
+
+    @pytest.mark.parametrize("p, graded", [(1.0, False), (2.0, False), (3.0, False), (1.5, True)])
+    def test_integer_p_grid_has_no_graded_panels(self, monkeypatch, p, graded):
+        # the first level of an integer-p energy grid is the 16 plain panels
+        # between the zeros, 32 nodes each; a non-integer p grades both ends
+        sizes = []
+
+        def recording(integrands, *args, **kwargs):
+            def counted(x, active):
+                sizes.append(x.size)
+                return integrands(x, active)
+
+            return _integrate_batch(counted, *args, **kwargs)
+
+        monkeypatch.setattr(B, "_integrate_batch", recording)
+        interval_energy(S_PI, 0.0, p, (0.5, 1.5))
+        plain = 16 * 32
+        assert (sizes[0] > plain) if graded else (sizes[0] == plain)
 
     def test_rejects_non_consecutive(self):
         prof = PhaseProfile(S_PI)

@@ -7,6 +7,7 @@ from debranges.numerics import (
     BracketError,
     NonConvergenceError,
     QuadratureScheme,
+    _graded_edges,
     golden_max,
     integrate,
     log_gamma,
@@ -50,6 +51,48 @@ class TestIntegrate:
     def test_invalid_domain(self):
         with pytest.raises(ValueError):
             integrate(lambda x: x, (1.0, 0.0))
+
+    @staticmethod
+    def graded_edges_by_scans(a, b, panels, singular):
+        """The graded edges built point by point with scans over every edge:
+        the reference for the array construction."""
+        base = list(np.linspace(a, b, panels + 1))
+        pts = sorted({float(s) for s in singular if a <= s <= b})
+        edges = sorted(set(base) | set(pts))
+        out = set(edges)
+        for s in pts:
+            floor_step = 8.0 * np.finfo(float).eps * max(1.0, abs(s))
+            left = max((e for e in edges if e < s), default=None)
+            right = min((e for e in edges if e > s), default=None)
+            if left is not None:
+                d = s - left
+                out.update(
+                    s - d * 0.5 ** k for k in range(1, 48) if d * 0.5 ** k >= floor_step
+                )
+            if right is not None:
+                d = right - s
+                out.update(
+                    s + d * 0.5 ** k for k in range(1, 48) if d * 0.5 ** k >= floor_step
+                )
+        arr = np.array(sorted(out))
+        return arr[np.concatenate(([True], np.diff(arr) > 0.0))]
+
+    def test_graded_edges_equal_the_scans(self, rng):
+        for _ in range(60):
+            a = float(rng.uniform(-50.0, 0.0))
+            b = a + float(rng.uniform(1e-3, 100.0))
+            pts = list(rng.uniform(a - 1.0, b + 1.0, int(rng.integers(0, 12))))
+            # ends, a panel edge, a repeat, and points closer than the floor
+            pts += [a, b, float(np.linspace(a, b, 17)[3])] if rng.uniform() < 0.5 else []
+            pts += pts[:1] + [float(np.nextafter(p, math.inf)) for p in pts[:2]]
+            panels = int(rng.integers(1, 20))
+            got = _graded_edges(a, b, panels, pts)
+            assert got.tolist() == self.graded_edges_by_scans(a, b, panels, pts).tolist()
+            plain = _graded_edges(a, b, panels, pts, graded=False)
+            assert plain.tolist() == sorted(
+                set(np.linspace(a, b, panels + 1).tolist())
+                | {p for p in pts if a <= p <= b}
+            )
 
 
 class TestLogGamma:
@@ -136,6 +179,8 @@ class TestMonotoneSolve:
             if dg is not None:
                 cand = x - gx / dg(x)
                 if lo < cand < hi and abs(cand - x) < 0.5 * step_before:
+                    if abs(cand - x) <= 0.5 * tol * (1.0 + abs(x)):
+                        return cand  # a Newton step within tolerance ends it
                     x_next = cand
             step_before, last_step = last_step, abs(x_next - x)
             x = x_next

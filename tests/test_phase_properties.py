@@ -12,6 +12,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from debranges.bounds import interval_energy  # noqa: E402
 from debranges.hb_core import (  # noqa: E402
     BracketUnavailableError,
     Combination,
@@ -27,6 +28,7 @@ from debranges.hb_core import (  # noqa: E402
     phase_derivative,
     phase_derivative_sup,
     phase_limits,
+    rotate,
     solve_phase_level,
     upper_half_plane_grid,
 )
@@ -38,7 +40,7 @@ from debranges.hormander import (  # noqa: E402
     locate_extremum,
     verify_theorem1,
 )
-from debranges.numerics import sup_on_window  # noqa: E402
+from debranges.numerics import integrate, sup_on_window  # noqa: E402
 
 _zero = st.builds(
     complex,
@@ -158,6 +160,29 @@ def test_a_and_b_zeros_interlace(spec, beta):
     assert all(k1 != k2 for k1, k2 in zip(kinds, kinds[1:]))
     assert abs(za.size - zb.size) <= 1
     assert np.all(np.diff([x for x, _ in merged]) > 0)
+
+
+@fifty
+@given(specs, st.floats(0.0, math.pi), unit, st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+def test_energy_plain_edges_equal_the_graded_grid(spec, alpha, u, p):
+    # at integer p the ends of an interval energy are plain panel edges; the
+    # value is that of the grid graded toward them, as for non-integer p
+    roots = level_crossings(PhaseProfile(spec), 2 * alpha + math.pi, (-12.0, 12.0))
+    if roots.size < 2:
+        return
+    i = int(u * (roots.size - 1))
+    pair = (float(roots[i]), float(roots[i + 1]))
+
+    def ratio(x):
+        e = eval_E(spec, x)
+        return np.abs(rotate(e, alpha)[0] / np.abs(e)) ** p
+
+    graded = integrate(ratio, pair, singular_points=pair).value
+    value = interval_energy(spec, alpha, p, pair)
+    if p == 1.5:
+        assert value == graded
+    else:
+        assert abs(value - graded) <= 1e-13 * graded
 
 
 @fifty

@@ -5,6 +5,8 @@ the seeded solves must agree, and the optimum must satisfy the zero-pair
 orthogonality identities and have real simple zeros.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+import debranges.extremal as X  # noqa: E402
 from debranges.extremal import (  # noqa: E402
     ExtremalProblem,
     PolynomialBasis,
@@ -21,18 +24,21 @@ from debranges.extremal import (  # noqa: E402
 from debranges.hb_core import HBSpec  # noqa: E402
 
 _zero = st.builds(complex, st.floats(-2.5, 2.5), st.floats(-2.0, -0.15))
-problems = st.builds(
-    lambda zeros, xi, p: ExtremalProblem(
-        p=p, spec=HBSpec(zeros=zeros), xi=xi, basis=PolynomialBasis(len(zeros) - 2)
-    ),
-    st.lists(_zero, min_size=4, max_size=6),
-    st.floats(-1.0, 1.0),
-    st.sampled_from([1.0, 1.5, 3.0]),
-)
+
+
+def _problems(ps):
+    return st.builds(
+        lambda zeros, xi, p: ExtremalProblem(
+            p=p, spec=HBSpec(zeros=zeros), xi=xi, basis=PolynomialBasis(len(zeros) - 2)
+        ),
+        st.lists(_zero, min_size=4, max_size=6),
+        st.floats(-1.0, 1.0),
+        st.sampled_from(ps),
+    )
 
 
 @settings(max_examples=10, deadline=None, derandomize=True, database=None)
-@given(problems)
+@given(_problems([1.0, 1.5, 3.0]))
 def test_unique_optimum_with_orthogonal_real_zeros(prob):
     cold = solve(prob)
     seeded = solve(prob, seed=101)
@@ -44,3 +50,16 @@ def test_unique_optimum_with_orthogonal_real_zeros(prob):
     assert max((abs(r) for r in cold.orthogonality_residuals), default=0.0) <= tol
     zeros = extract_zeros(cold, prob)
     assert np.allclose(zeros, cold.zeros, rtol=0.0, atol=1e-12 * (1 + np.abs(zeros)))
+
+
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(_problems([1.0, 2.0, 3.0]))
+def test_integer_p_residuals_equal_the_graded_grid(prob):
+    # at integer p the zero-pair residual integrals put plain panel edges at
+    # the zeros; the residuals are those of the grid graded toward them
+    sol = solve(prob)
+    pairs = list(zip(sol.zeros, sol.zeros[1:]))
+    with mock.patch.object(X, "_graded_kinks", lambda p: True):
+        graded = X._orthogonality_residuals(sol, pairs)
+    assert len(graded) == len(sol.orthogonality_residuals)
+    assert np.allclose(sol.orthogonality_residuals, graded, rtol=0.0, atol=1e-9)
