@@ -9,7 +9,6 @@ every runner returns a CriterionResult with a one-line summary.
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import math
 import time
 from dataclasses import dataclass
@@ -452,8 +451,9 @@ def _perturbed_residual(prob, sol, rng) -> float:
         zeros = sol._basis.split_guesses(pert)
         if len(zeros) < 2:
             continue
-        fake = dataclasses.replace(sol, zeros=tuple(zeros), _coef=pert)
-        resids = X._orthogonality_residuals(fake, zip(zeros, zeros[1:]))
+        resids = X._orthogonality_residuals(
+            sol._basis, pert, sol.p, sol.spec, sol.xi, zeros, zip(zeros, zeros[1:])
+        )
         best = max([best, *map(abs, resids)])
         if best > 1e-3:
             break

@@ -206,16 +206,9 @@ def _cmd_bounds(args) -> dict:
         extra = {"note": "no spec given; Paley-Wiener phase_sup = 2 pi assumed"}
     report = B.make_bound_report(args.p, phase_sup)
     if args.csv:
-        ps = np.linspace(0.5, 50.0, 100)
         rows = [
-            (
-                p,
-                B.K_p_closed(p),
-                B.embedding_bound(p, phase_sup),
-                B.nonasymptotic_bound_pth_power(p, phase_sup),
-                B.asymptotic_check(p) if p >= 1 else float("nan"),
-            )
-            for p in ps
+            (r.p, r.K_p, r.C_bound, r.C_bound_nonasymptotic_pth_power, r.asymptotic_ratio)
+            for r in (B.make_bound_report(p, phase_sup) for p in np.linspace(0.5, 50.0, 100))
         ]
         _write_csv(rows, ["p", "K_p", "bound", "nonasymptotic_pth_power", "ratio"], args.csv)
     values = report.to_dict()

@@ -15,7 +15,6 @@ the (smoothed, for p < 2) functional converges from any start.  The range
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
@@ -67,6 +66,8 @@ _POLISH_STEPS = 30
 # conditioning); this is 64 sqrt(eps), and simple zeros of an optimum sit
 # orders of magnitude wider apart
 _SPLIT_GAP = 2.0 ** -20
+# Gauss nodes per panel, and round 0's first panel count, of the solver grid
+_QUAD_NODES = _QUAD_PANELS = 32
 
 
 class ComplexZeroError(ArithmeticError):
@@ -116,8 +117,6 @@ class ExtremalProblem:
     basis: Union[PolynomialBasis, KernelNodeBasis]
     kkt_tol: Optional[float] = None
     window: Optional[Tuple[float, float]] = None
-    quad_nodes: int = 32
-    quad_panels: int = 32
 
     def __post_init__(self):
         if not (math.isfinite(self.p) and self.p > 0):
@@ -285,35 +284,6 @@ class _KernelBasis:
         return np.real(c)
 
 
-class _Discretized:
-    """Quadrature nodes, ratio-basis matrix, and constraint data.
-
-    splits are x-locations of |F|^p kinks (estimated zeros of the candidate);
-    grading the panels toward them restores the rule's accuracy for
-    non-even p.
-    """
-
-    def __init__(self, problem: ExtremalProblem, basis, splits: Sequence[float] = ()):
-        self.problem, self.basis = problem, basis
-        spec = problem.spec
-        # refine the grid until the p=2 Gram trace stabilizes
-        panels = problem.quad_panels
-        prev = None
-        for _ in range(5):
-            x, w = _grid(basis.domain, panels, problem.quad_nodes, splits)
-            psi = basis.matrix(x) / np.abs(eval_E(spec, x))[:, None]
-            tr = float(np.sum(w[:, None] * psi * psi))
-            if prev is not None and abs(tr - prev) <= 1e-13 * abs(tr):
-                break
-            prev = tr
-            panels *= 2
-        self.w, self.psi = w, psi
-        self.v = basis.matrix(np.array([problem.xi]))[0]
-        self.b = abs(complex(eval_E(spec, problem.xi)))
-        if float(np.max(np.abs(self.v))) == 0.0:
-            raise ValueError("every basis element vanishes at xi; slice is empty")
-
-
 # ---------------------------------------------------------------------------
 # Smoothed Lp functional and damped Newton on the slice
 # ---------------------------------------------------------------------------
@@ -385,21 +355,46 @@ class _Polish(NamedTuple):
 
 
 class _SliceSolver:
-    """QR-preconditioned damped Newton on one discretization."""
+    """One round's discretization, and QR-preconditioned damped Newton on it.
 
-    def __init__(self, disc: _Discretized, p: float):
-        self.disc, self.p = disc, p
-        sw = np.sqrt(disc.w)
-        M = sw[:, None] * disc.psi
-        R = np.linalg.qr(M, mode="r")
+    The grid's panels are graded toward splits, the |F|^p kinks (estimated
+    zeros of the candidate), and doubled until the p = 2 Gram trace of the
+    ratio basis psi = basis / |E| settles.  Round 0 starts at _QUAD_PANELS.
+    A later round passes its predecessor as `previous` and starts from its
+    panel count and trace; the trace integrates the smooth psi and does not
+    depend on the grading, so such a round builds its grid once.
+    """
+
+    def __init__(
+        self, problem: ExtremalProblem, basis, splits: Sequence[float] = (),
+        previous: Optional[_SliceSolver] = None,
+    ):
+        self.p, self.basis, self.spec = problem.p, basis, problem.spec
+        panels, trace = _QUAD_PANELS, None
+        if previous is not None:
+            panels, trace = previous.panels, previous.trace
+        for build in range(5):
+            if build:
+                panels *= 2
+            x, w = _grid(basis.domain, panels, _QUAD_NODES, splits)
+            psi = basis.matrix(x) / np.abs(eval_E(self.spec, x))[:, None]
+            tr = float(np.sum(w[:, None] * psi * psi))
+            if trace is not None and abs(tr - trace) <= 1e-13 * abs(tr):
+                break
+            trace = tr
+        self.panels, self.trace, self.w = panels, tr, w
+        v = basis.matrix(np.array([problem.xi]))[0]
+        self.b = abs(complex(eval_E(self.spec, problem.xi)))
+        if float(np.max(np.abs(v))) == 0.0:
+            raise ValueError("every basis element vanishes at xi; slice is empty")
+        self.R = R = np.linalg.qr(np.sqrt(w)[:, None] * psi, mode="r")
         diag = np.abs(np.diag(R))
         if np.min(diag) < 1e-13 * np.max(diag):
             raise ValueError("basis is numerically rank-deficient on this grid")
-        self.R = R
-        T = np.linalg.solve(R.T, disc.psi.T).T  # = psi R^{-1}
-        v_t = np.linalg.solve(R.T, disc.v)
+        T = np.linalg.solve(R.T, psi.T).T  # = psi R^{-1}
+        v_t = np.linalg.solve(R.T, v)
         self.nv = float(np.linalg.norm(v_t))
-        self.y_feas = disc.b * v_t / self.nv ** 2
+        self.y_feas = self.b * v_t / self.nv ** 2
         _, _, vh = np.linalg.svd(v_t[None, :])
         self.Z = vh[1:].T  # orthonormal null space of the constraint
         # grid values of the slice point y_feas + Z u are g0 + A u
@@ -427,14 +422,14 @@ class _SliceSolver:
         """
         u, val = u_start, math.inf
         stages = _EPS_STAGES if self.p < 2 else (0.0,)
-        handover = self.p == 1.0 and self.disc.basis.kind == "polynomial"
+        handover = self.p == 1.0 and self.basis.kind == "polynomial"
         if handover and self.kkt_residual(u) <= stages[0]:
             return self._with_l1(self.exact_newton_polish(u, _POLISH_STEPS).u)
         best = None
         for k, eps in enumerate(stages):
             last = k == len(stages) - 1
             u, val, _, _ = _newton_on_slice(
-                self.A, self.disc.w, self.g0, self.p, eps * self.disc.b,
+                self.A, self.w, self.g0, self.p, eps * self.b,
                 kkt_tol if last else 1e-6, u,
             )
             if not handover:
@@ -449,7 +444,7 @@ class _SliceSolver:
 
     def _with_l1(self, u):
         """u with its exact p = 1 value sum w |g|."""
-        return u, float(np.sum(self.disc.w * np.abs(self.g0 + self.A @ u)))
+        return u, float(np.sum(self.w * np.abs(self.g0 + self.A @ u)))
 
     def coeffs(self, u):
         return np.linalg.solve(self.R, self.y_feas + self.Z @ u)
@@ -463,8 +458,8 @@ class _SliceSolver:
         bounded), as its parts along the slice, Z^T grad = A^T (w rho), and
         along v_t / nv, where T v_t / nv = g0 nv / b."""
         g = self.g0 + self.A @ u
-        w_rho = self.disc.w * (self.p * np.sign(g) * np.abs(g) ** (self.p - 1))
-        return self.A.T @ w_rho, float(self.g0 @ w_rho) * self.nv / self.disc.b
+        w_rho = self.w * (self.p * np.sign(g) * np.abs(g) ** (self.p - 1))
+        return self.A.T @ w_rho, float(self.g0 @ w_rho) * self.nv / self.b
 
     def kkt_residual(self, u):
         return _kkt(*self.exact_gradient(u))
@@ -480,7 +475,7 @@ class _SliceSolver:
         raise the exact KKT residual.  At p = 1 this is where `continuation`
         hands the eps ladder over (see there).
         """
-        p, disc, basis = self.p, self.disc, self.disc.basis
+        p, basis = self.p, self.basis
         grad = self.exact_gradient(u)
         kkt = _kkt(*grad)
         for steps in range(max_steps):
@@ -491,7 +486,7 @@ class _SliceSolver:
                 if not lam.size:
                     return _Polish(u, kkt, steps, "no_zeros")
                 phi = basis.matrix(lam)
-                e_abs = np.abs(eval_E(disc.problem.spec, lam))
+                e_abs = np.abs(eval_E(self.spec, lam))
                 fp = np.abs(basis.eval(_cheb.chebder(c), lam) / basis.scale)
                 if np.any(fp <= 0):
                     return _Polish(u, kkt, steps, "singular")
@@ -504,7 +499,7 @@ class _SliceSolver:
             else:
                 g = self.g0 + self.A @ u
                 kap = p * (p - 1) * np.maximum(np.abs(g), 1e-300) ** (p - 2)
-                H_u = self.A.T @ (self.A * (disc.w * kap)[:, None])
+                H_u = self.A.T @ (self.A * (self.w * kap)[:, None])
             try:
                 du = np.linalg.solve(H_u, -grad_u)
             except np.linalg.LinAlgError:
@@ -528,7 +523,9 @@ def solve(problem: ExtremalProblem, seed: Optional[int] = None) -> ExtremalSolut
     seed randomizes the Newton starting point (used to confirm uniqueness
     for p >= 1).  After first convergence the quadrature grid is rebuilt
     with panels graded toward the estimated zeros of the candidate (the
-    |F|^p kinks), unless p is an even integer and the integrand is smooth.
+    |F|^p kinks), unless p is an even integer and the integrand is smooth;
+    each such round starts from the previous round's panel count and Gram
+    trace and builds its grid once (see `_SliceSolver`).
     On the polynomial basis, 1 < p < 2 polishes each graded round with
     `exact_newton_polish`; at p = 1 every round, the unsplit one included,
     hands its eps ladder over to that polish inside `continuation`.  0 < p < 1
@@ -543,12 +540,13 @@ def solve(problem: ExtremalProblem, seed: Optional[int] = None) -> ExtremalSolut
     # after the unsplit round each round grades its grid toward the previous
     # round's zeros, until the zeros reach a fixed point: if a split lags the
     # true sign change, the grid gradient is wrong on the mismatch interval,
-    # which matters most along nearly flat directions (far-out zeros).
-    rounds = 13 if p != 2 * round(p / 2) and n_free > 0 else 1
-    splits, c_star = np.zeros(0), None
+    # which matters most along nearly flat directions (far-out zeros).  The
+    # final norm integrals put panel edges at the zeros for the same reason.
+    kinked = p != 2 * round(p / 2)
+    rounds = 13 if kinked and n_free > 0 else 1
+    splits, c_star, solver = np.zeros(0), None, None
     for k in range(rounds):
-        disc = _Discretized(problem, basis, splits)
-        solver = _SliceSolver(disc, p)
+        solver = _SliceSolver(problem, basis, splits, solver)
         if c_star is not None:
             starts = [solver.warm_start(c_star)]
         elif (seed is None and p >= 1) or n_free == 0:
@@ -585,13 +583,14 @@ def solve(problem: ExtremalProblem, seed: Optional[int] = None) -> ExtremalSolut
 
     zeros = basis.real_zeros(c_star)
 
-    splits = zeros if p < 2 else []
+    splits = zeros if kinked else []
     scheme = QuadratureScheme(panels=16, max_refinements=8)
 
     def norm_pth_power(c):
         """int |f/E|^p for the coefficients c, with panel edges at the zeros
-        of f below p = 2: integrate's panels graded toward them for
-        non-integer p, plain edges for integer p (numerics._graded_kinks)."""
+        of f unless p is an even integer: integrate's panels graded toward
+        them for non-integer p, plain edges for integer p
+        (numerics._graded_kinks)."""
 
         def ratio_pow(x):
             return np.abs(np.real(basis.eval(c, x)) / np.abs(eval_E(problem.spec, x))) ** p
@@ -609,7 +608,7 @@ def solve(problem: ExtremalProblem, seed: Optional[int] = None) -> ExtremalSolut
     # residual of ||f/E||_p = 1 after rescaling, re-measured independently
     norm_residual = abs(norm_pth_power(c_final) ** (1.0 / p) - 1.0)
 
-    provisional = ExtremalSolution(
+    return ExtremalSolution(
         p=p,
         spec=problem.spec,
         xi=problem.xi,
@@ -617,7 +616,9 @@ def solve(problem: ExtremalProblem, seed: Optional[int] = None) -> ExtremalSolut
         C_value=C_value,
         zeros=tuple(float(z) for z in zeros),
         kkt_residual=kkt,
-        orthogonality_residuals=(),
+        orthogonality_residuals=_orthogonality_residuals(
+            basis, c_final, p, problem.spec, problem.xi, zeros, zip(zeros, zeros[1:])
+        ),
         min_zero_gap=_min_gap(zeros),
         norm_residual=norm_residual,
         truncated=problem.truncated,
@@ -625,8 +626,6 @@ def solve(problem: ExtremalProblem, seed: Optional[int] = None) -> ExtremalSolut
         _basis=basis,
         _coef=c_final,
     )
-    resids = _orthogonality_residuals(provisional, zip(zeros, zeros[1:]))
-    return dataclasses.replace(provisional, orthogonality_residuals=resids)
 
 
 def _min_gap(zeros: Sequence[float]) -> float:
@@ -714,14 +713,17 @@ def orthogonality_residual(
     of f (the integrand has |x - lambda|^{p-1} kinks there), and graded
     toward them for non-integer p.
     """
-    return _orthogonality_residuals(sol, [r_numerator_zeros])[0]
+    return _orthogonality_residuals(
+        sol._basis, sol._coef, sol.p, sol.spec, sol.xi, sol.zeros, [r_numerator_zeros]
+    )[0]
 
 
 def _orthogonality_residuals(
-    sol: ExtremalSolution,
-    pairs: Iterable[Tuple[float, float]],
+    basis: Union[_ChebBasis, _KernelBasis], c: np.ndarray, p: float, spec: HBSpec,
+    xi: float, zeros: Sequence[float], pairs: Iterable[Tuple[float, float]],
 ) -> Tuple[float, ...]:
-    """orthogonality_residual of each zero pair, all on one quadrature grid.
+    """orthogonality_residual of each zero pair for f = basis.eval(c), whose
+    real zeros are `zeros`, all on one quadrature grid.
 
     The pair-independent weight (x-xi)^2 |f|^p / |E|^p is evaluated once per
     block of nodes, and each pair's absolute and signed sums are taken from
@@ -734,11 +736,10 @@ def _orthogonality_residuals(
     pairs = [(float(la), float(lb)) for la, lb in pairs]
     if not pairs:
         return ()
-    p, spec, xi = sol.p, sol.spec, sol.xi
 
     def integrands(x, active):
         # integrand 2i is pair i's absolute integral, 2i + 1 its signed one
-        fx = np.abs(np.real(sol.eval(x)))
+        fx = np.abs(np.real(basis.eval(c, x)))
         base = (x - xi) ** 2 * fx ** p / np.abs(eval_E(spec, x)) ** p
         last = None
         for j in active:
@@ -753,14 +754,14 @@ def _orthogonality_residuals(
                 last = i
             yield masked / dadb if signed else masked / np.abs(dadb)
 
-    splits = sorted(set(sol.zeros).union(*pairs))
+    splits = sorted(set(zeros).union(*pairs))
     # the signed integral sits orders below the absolute one; chasing machine
     # precision on it only grinds against the cancellation noise floor, so
     # its convergence is judged against the absolute integral
     scheme = QuadratureScheme(panels=8, target_rel_error=1e-9, max_refinements=6)
     m = 2 * len(pairs)
     res = _integrate_batch(
-        integrands, m, sol._basis.domain, scheme, splits,
+        integrands, m, basis.domain, scheme, splits,
         partners=[j - 1 if j % 2 else None for j in range(m)],
         graded=_graded_kinks(p),
     )

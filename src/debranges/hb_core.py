@@ -559,10 +559,6 @@ class StructuredEntire:
     def __call__(self, z):
         return self.eval(z)
 
-    def eval_sharp(self, z):
-        """f#(z) = conj(f(conj z)); equals f for these real entire nodes."""
-        return self.eval(z)
-
     def certify(self, ambient: HBSpec) -> None:
         raise NotImplementedError
 

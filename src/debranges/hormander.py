@@ -69,8 +69,6 @@ class MaxAtInfinityError(RuntimeError):
 
 
 def _real_eval(f: EntireLike) -> Callable[[np.ndarray], np.ndarray]:
-    if isinstance(f, StructuredEntire):
-        return lambda x: np.real(np.asarray(f.eval(np.asarray(x, dtype=float))))
     return lambda x: np.real(np.asarray(f(np.asarray(x, dtype=float))))
 
 

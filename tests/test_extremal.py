@@ -180,11 +180,11 @@ class TestP1Handover:
         # the degree-10 criterion-9 spec on its unsplit grid, after the
         # given eps rungs from the minimal-norm start
         prob = _crit9_p1_problem()
-        solver = X._SliceSolver(X._Discretized(prob, X._ChebBasis(prob)), 1.0)
+        solver = X._SliceSolver(prob, X._ChebBasis(prob))
         u = np.zeros(solver.A.shape[1])
         for eps in rungs:
             u, _, _, met = X._newton_on_slice(
-                solver.A, solver.disc.w, solver.g0, 1.0, eps * solver.disc.b, 1e-6, u
+                solver.A, solver.w, solver.g0, 1.0, eps * solver.b, 1e-6, u
             )
             assert met
         return solver, u
@@ -281,10 +281,16 @@ class TestOrthogonality:
         zeros = sol._basis.split_guesses(pert)
         fake = dataclasses.replace(sol, zeros=tuple(zeros), _coef=pert)
         vals = [
-            abs(orthogonality_residual(fake, prob, (zeros[i], zeros[i + 1])))
+            orthogonality_residual(fake, prob, (zeros[i], zeros[i + 1]))
             for i in range(len(zeros) - 1)
         ]
-        assert max(vals) > 1e-3
+        assert max(map(abs, vals)) > 1e-3
+        # the criterion-9 perturbation check passes the perturbed
+        # coefficients without a solution object; it sees the same residuals
+        shared = X._orthogonality_residuals(
+            sol._basis, pert, sol.p, sol.spec, sol.xi, zeros, zip(zeros, zeros[1:])
+        )
+        assert list(shared) == vals
 
     def test_double_zero_form_positive(self):
         # r = (x-xi)^2/(x-l)^2 makes the integrand nonnegative: certifies that
@@ -430,7 +436,7 @@ class TestKernelBasis:
 class TestDiscretization:
     @pytest.mark.parametrize("kind", ["polynomial", "kernel"])
     def test_freed_without_cyclic_gc(self, kind):
-        # no closure of a _Discretized refers back to it, so its grid
+        # no closure of a _SliceSolver refers back to it, so its grid
         # arrays go with its last reference, not at the next cyclic GC
         if kind == "polynomial":
             prob = ExtremalProblem(p=2.0, spec=FOUR, xi=0.0, basis=PolynomialBasis(2))
@@ -443,12 +449,34 @@ class TestDiscretization:
             basis = X._KernelBasis(prob)
         gc.disable()
         try:
-            disc = X._Discretized(prob, basis)
-            ref = weakref.ref(disc)
-            del disc
+            solver = X._SliceSolver(prob, basis)
+            ref = weakref.ref(solver)
+            del solver
             assert ref() is None
         finally:
             gc.enable()
+
+    def test_graded_round_builds_its_grid_once(self, monkeypatch):
+        # round 0 checks 32 against 64 panels; each graded round starts from
+        # the previous round's accepted panels and Gram trace
+        prob = ExtremalProblem(p=3.0, spec=FOUR, xi=0.25, basis=PolynomialBasis(2))
+        grids, rounds = [], []
+        grid, init = X._grid, X._SliceSolver.__init__
+
+        def counted_grid(*args):
+            grids.append(args[1])
+            return grid(*args)
+
+        def counted_init(self, *args):
+            rounds.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(X, "_grid", counted_grid)
+        monkeypatch.setattr(X._SliceSolver, "__init__", counted_init)
+        solve(prob)
+        assert len(rounds) >= 2
+        assert len(grids) == len(rounds) + 1
+        assert grids == [32] + [64] * len(rounds)
 
 
 class TestSeparation:

@@ -1,6 +1,7 @@
 """The behaviour contract's fixed surface: the names the package binds and
 the keys of an extremal solution's report."""
 
+import dataclasses
 import math
 import types
 
@@ -93,6 +94,12 @@ def test_public_names():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert bound == PUBLIC_NAMES
+
+
+def test_problem_fields():
+    # quadrature sizes are solver constants, not problem options
+    fields = [f.name for f in dataclasses.fields(ExtremalProblem)]
+    assert fields == ["p", "spec", "xi", "basis", "kkt_tol", "window"]
 
 
 def test_solution_report_keys():

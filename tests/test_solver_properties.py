@@ -60,6 +60,8 @@ def test_integer_p_residuals_equal_the_graded_grid(prob):
     sol = solve(prob)
     pairs = list(zip(sol.zeros, sol.zeros[1:]))
     with mock.patch.object(X, "_graded_kinks", lambda p: True):
-        graded = X._orthogonality_residuals(sol, pairs)
+        graded = X._orthogonality_residuals(
+            sol._basis, sol._coef, sol.p, sol.spec, sol.xi, sol.zeros, pairs
+        )
     assert len(graded) == len(sol.orthogonality_residuals)
     assert np.allclose(sol.orthogonality_residuals, graded, rtol=0.0, atol=1e-9)
