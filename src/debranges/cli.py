@@ -295,35 +295,48 @@ _COMMANDS = {
 }
 
 
+# every flag, in the order a report's inputs echo them
+_FLAGS = {
+    "spec": dict(help="path to an HBSpec JSON file"),
+    "f": dict(help="path to a structured-function JSON file"),
+    "p": dict(type=float, help="exponent p"),
+    "xi": dict(type=float, help="evaluation point"),
+    "alpha": dict(type=float, help="rotation angle"),
+    "window": dict(help="LO,HI window"),
+    "out": dict(help="write the JSON report here (default stdout)"),
+    "csv": dict(help="write the CSV profile here"),
+    "tol": dict(type=float, help=f"tolerance override (or ${TOL_ENV_VAR})"),
+    "seed": dict(type=int, help="seed for randomized suites"),
+    "degree": dict(type=int, help="polynomial basis degree cap"),
+    "nodes": dict(type=int, help="kernel-node count (Paley-Wiener mode)"),
+    "sign-free": dict(action="store_true", help="use the |f| variant"),
+}
+_EXTREMAL_FLAGS = {"spec", "p", "xi", "window", "degree", "nodes", "seed", "out"}
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, declaring only the flags its handler (or
+    run, for --out) reads, so any other flag is an input error."""
     parser = argparse.ArgumentParser(
         prog="debranges",
         description="Hermite-Biehler phase machinery, lower-bound verification, "
         "embedding bounds, and point-evaluation extremal problems.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("phase", "phase function, derivative, and supremum of a spec"),
-        ("verify-hormander", "margin-check the lower bound for a member"),
-        ("bounds", "K(p) and embedding-norm bounds"),
-        ("extremal", "solve a point-evaluation extremal problem"),
-        ("separation", "zero-separation diagnostics of an extremal function"),
-        ("selftest", "run the embedded acceptance suite"),
+    for name, help_text, flags in (
+        ("phase", "phase function, derivative, and supremum of a spec",
+         {"spec", "window", "csv", "out"}),
+        ("verify-hormander", "margin-check the lower bound for a member",
+         {"spec", "f", "alpha", "window", "tol", "sign-free", "csv", "out"}),
+        ("bounds", "K(p) and embedding-norm bounds", {"p", "spec", "csv", "out"}),
+        ("extremal", "solve a point-evaluation extremal problem", _EXTREMAL_FLAGS | {"csv"}),
+        ("separation", "zero-separation diagnostics of an extremal function", _EXTREMAL_FLAGS),
+        ("selftest", "run the embedded acceptance suite", {"seed", "out"}),
     ):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--spec", help="path to an HBSpec JSON file")
-        p.add_argument("--f", help="path to a structured-function JSON file")
-        p.add_argument("--p", type=float, help="exponent p")
-        p.add_argument("--xi", type=float, help="evaluation point")
-        p.add_argument("--alpha", type=float, help="rotation angle")
-        p.add_argument("--window", help="LO,HI window")
-        p.add_argument("--out", help="write the JSON report here (default stdout)")
-        p.add_argument("--csv", help="write the CSV profile here")
-        p.add_argument("--tol", type=float, help=f"tolerance override (or ${TOL_ENV_VAR})")
-        p.add_argument("--seed", type=int, help="seed for randomized suites")
-        p.add_argument("--degree", type=int, help="polynomial basis degree cap")
-        p.add_argument("--nodes", type=int, help="kernel-node count (Paley-Wiener mode)")
-        p.add_argument("--sign-free", action="store_true", help="use the |f| variant")
+        for flag, kwargs in _FLAGS.items():
+            if flag in flags:
+                p.add_argument(f"--{flag}", **kwargs)
     return parser
 
 

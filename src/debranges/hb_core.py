@@ -55,9 +55,6 @@ __all__ = [
     "same_de_branges_space",
 ]
 
-# Beyond this many zeros the plain complex product risks harmless but ugly
-# intermediate overflow; switch to log-magnitude accumulation.
-_PLAIN_PRODUCT_LIMIT = 64
 # Entries of the points x zeros array that a sum or product over the zeros
 # (_reduce_over_zeros) holds at once (512 KB); a refined quadrature grid of
 # 131,072 points and 12 zeros in one block would take 25 MB, the coarse phi'
@@ -169,31 +166,14 @@ def _reduce_over_zeros(fn, x: np.ndarray, n_zeros: int, dtype=float) -> np.ndarr
 def eval_E(spec: HBSpec, z, conjugate: bool = False):
     """Evaluate E(z), or E#(z) = conj(E(conj z)) when conjugate is set.
 
-    Vectorized over z.  Uses the plain complex product up to 64 zeros and
-    log-magnitude accumulation beyond, for overflow safety.
+    Vectorized over z.  One plain complex product over the zeros at every
+    degree; where a partial product leaves the floating-point range the
+    value is not finite, and the callers that need a finite E (Kernel and
+    hormander's whole-line scan) raise OverflowError.
     """
     zz = np.asarray(z, dtype=complex)
     sgn = -1.0 if conjugate else 1.0
     roots = spec.conj_roots if conjugate else spec.roots
-    if spec.degree > _PLAIN_PRODUCT_LIMIT:
-
-        def log_product(b):
-            diffs = b[..., None] - roots
-            mags = np.abs(diffs)
-            logmag = (
-                math.log(spec.scale)
-                + np.sum(np.log(mags, out=mags), axis=-1)
-                + sgn * spec.exp_rate * b.imag
-            )
-            arg = (
-                sgn * spec.rotation
-                - sgn * spec.exp_rate * b.real
-                + np.sum(np.angle(diffs), axis=-1)
-            )
-            return np.exp(logmag) * np.exp(1j * arg)
-
-        out = _reduce_over_zeros(log_product, zz, spec.degree, complex)
-        return _scalar_if_0d(z, out)
     out = spec.scale * np.exp(
         1j * sgn * spec.rotation - 1j * sgn * spec.exp_rate * zz
     )

@@ -497,7 +497,7 @@ def _verify(
 
     # smallest-|x| extremal point whose bracket exists; degenerate specs can
     # lack a zero of B_alpha (A_alpha) on one side of an extreme candidate
-    xi = alpha = lo = hi = None
+    xi = alpha = lo = hi = e_xi = sgn = None
     last_err: Optional[BracketUnavailableError] = None
     for cand in usable:
         e_c = complex(eval_E(spec, cand.x))
@@ -510,18 +510,14 @@ def _verify(
         except BracketUnavailableError as err:
             last_err = err
             continue
-        xi, alpha = cand.x, alpha_c
+        # sgn is the sign of f(xi): +1 in the signed theorem, whose usable
+        # candidates all have f(xi) > 0
+        xi, alpha, e_xi, sgn = cand.x, alpha_c, e_c, float(cand.sign)
         break
     if xi is None:
         raise last_err or BracketUnavailableError("no usable extremal point")
 
     fe = _real_eval(f)
-    e_xi = complex(eval_E(spec, xi))
-
-    sgn = 1.0
-    f_at_xi = float(fe(np.array([xi]))[0])
-    if sign_free and f_at_xi < 0:
-        sgn = -1.0
 
     def margins(x):
         """The raw margin f - norm A_alpha (|f| when sign-free) at the array x,

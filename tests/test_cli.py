@@ -63,14 +63,6 @@ class TestBoundsCommand:
         assert lines[0] == "p,K_p,bound,nonasymptotic_pth_power,ratio"
         assert len(lines) == 101
 
-    def test_zero_inputs_are_echoed(self, spec_file, tmp_path):
-        out = tmp_path / "r.json"
-        run(["bounds", "--p", "2", "--seed", "0", "--xi", "0", "--alpha", "0",
-             "--spec", spec_file(S_PI_JSON), "--out", str(out)])
-        inputs = read_report(out)["inputs"]
-        assert inputs["seed"] == 0 and inputs["xi"] == 0.0 and inputs["alpha"] == 0.0
-        assert "sign_free" not in inputs and "window" not in inputs
-
     def test_float_round_trip(self, spec_file, tmp_path):
         out = tmp_path / "r.json"
         run(["bounds", "--p", "2", "--spec", spec_file(S_PI_JSON), "--out", str(out)])
@@ -224,6 +216,35 @@ class TestSchemaAndErrors:
 
     def test_missing_file(self):
         assert run(["phase", "--spec", "/nonexistent/spec.json"]) == EXIT_INPUT
+
+    def test_zero_inputs_are_echoed(self, spec_file, tmp_path):
+        # falsy values are still inputs; unset flags are not
+        out = tmp_path / "r.json"
+        assert run(["extremal", "--spec", spec_file(CUBIC_JSON), "--p", "2", "--xi", "0",
+                    "--seed", "0", "--out", str(out)]) == EXIT_OK
+        inputs = read_report(out)["inputs"]
+        assert inputs["seed"] == 0 and inputs["xi"] == 0.0
+        assert "window" not in inputs
+        assert run(["verify-hormander", "--spec", spec_file(S_PI_JSON), "--alpha", "0",
+                    "--out", str(out)]) == EXIT_OK
+        inputs = read_report(out)["inputs"]
+        assert inputs["alpha"] == 0.0
+        assert "sign_free" not in inputs and "window" not in inputs
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["extremal", "--p", "2", "--xi", "0", "--tol", "1e-3"],
+            ["bounds", "--p", "2", "--seed", "0"],
+            ["phase", "--alpha", "0"],
+        ],
+    )
+    def test_unread_flag_is_input_error(self, argv, capsys):
+        # a flag the command would ignore is refused, not dropped silently
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == EXIT_INPUT
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_env_tolerance_override(self, spec_file, tmp_path, monkeypatch):
         monkeypatch.setenv("DEBRANGES_TOL", "1e-7")

@@ -284,6 +284,22 @@ class TestBlockedZeroSums:
             assert self._same(b, w)
 
 
+class TestProductAccuracy:
+    @pytest.mark.parametrize("n", [65, 128, 256])
+    def test_eval_E_matches_mpmath_product(self, n):
+        mpmath = pytest.importorskip("mpmath")
+        spec = reference_specs()[n]
+        pts = np.concatenate(
+            [np.linspace(-11.9, 11.9, 60), [0.5 + 2.0j, -1.3 - 0.4j]]
+        )
+        got = eval_E(spec, pts)
+        with mpmath.workdps(40):
+            roots = [mpmath.mpc(z.real, z.imag) for z in spec.zeros]
+            for x, e in zip(pts.tolist(), got.tolist()):
+                ref = mpmath.fprod(mpmath.mpc(x) - r for r in roots)
+                assert abs(mpmath.mpc(e) - ref) <= 1e-14 * abs(ref), x
+
+
 class TestLevelCrossings:
     def test_a_zeros_of_double_zero_spec(self):
         prof = PhaseProfile(TWO)
