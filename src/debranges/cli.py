@@ -341,7 +341,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        if exc.code == EXIT_OK:  # --help
+            raise
+        return EXIT_INPUT  # argparse has printed the usage error
     t0 = time.perf_counter()
     inputs = {
         k: v

@@ -25,6 +25,7 @@ from numpy.polynomial import chebyshev as _cheb
 from .hb_core import (
     HBSpec,
     Kernel,
+    _eval_E_pair,
     _scalar_if_0d,
     eval_E,
     phase_bracket,
@@ -260,7 +261,7 @@ class _KernelBasis:
     def _columns(self, z):
         """Each K_{t_j}(z), from one pair of E(z), E#(z) evaluations."""
         zz = np.asarray(z, dtype=complex)
-        e, es = eval_E(self.spec, zz), eval_E(self.spec, zz, conjugate=True)
+        e, es = _eval_E_pair(self.spec, zz)
         return (k._from_E(zz, e, es) for k in self.kernels)
 
     def matrix(self, x):
@@ -304,13 +305,14 @@ def _newton_on_slice(A, w, g0, p, eps, tol, u0, max_iter=120):
     val = J(g)
     for _ in range(max_iter):
         q = g * g + eps * eps
-        rho = p * g * q ** (p / 2 - 1)
+        qp = q ** (p / 2 - 1)
+        rho = p * g * qp
         if eps == 0.0:
             # p >= 2 here; the generic kappa would form q^{p/2-2} = inf at
             # exact zeros of g, so use d^2/dg^2 |g|^p = p(p-1)|g|^{p-2}
             kappa = p * (p - 1) * np.abs(g) ** (p - 2)
         else:
-            kappa = p * (q ** (p / 2 - 1) + (p - 2) * g * g * q ** (p / 2 - 2))
+            kappa = p * (qp + (p - 2) * g * g * q ** (p / 2 - 2))
         grad_u = A.T @ (w * rho)
         gnorm = float(np.linalg.norm(grad_u))
         if gnorm <= tol * max(1.0, abs(val)):
@@ -749,8 +751,11 @@ def _orthogonality_residuals(
                 # the integrand is bounded at the simple zeros (|x-l|^{p-1}
                 # with p >= 1); mask nodes that hit them exactly to dodge 0/0
                 ok = (da != 0.0) & (db != 0.0)
-                masked = np.where(ok, base, 0.0)
-                dadb = np.where(ok, da, 1.0) * np.where(ok, db, 1.0)
+                if ok.all():
+                    masked, dadb = base, da * db
+                else:
+                    masked = np.where(ok, base, 0.0)
+                    dadb = np.where(ok, da, 1.0) * np.where(ok, db, 1.0)
                 last = i
             yield masked / dadb if signed else masked / np.abs(dadb)
 

@@ -61,6 +61,12 @@ __all__ = [
 # scans of phase_derivative_sup at N = 256 over 30 MB.
 _PRODUCT_BLOCK = 1 << 15
 
+# Real inputs of at least _REAL_AXIS_MIN points take eval_E's zeros-major
+# product, in blocks of _REAL_AXIS_BLOCK points: at 1,024 points it is slower
+# than the reduce from N = 24 zeros on, at 2,048 faster for N = 3 to 256.
+_REAL_AXIS_MIN = 2048
+_REAL_AXIS_BLOCK = 8192
+
 
 class SpecError(ValueError):
     """Invalid Hermite-Biehler data."""
@@ -93,6 +99,10 @@ class HBSpec:
     conj_roots: np.ndarray = field(init=False, repr=False, compare=False)
     x_n: np.ndarray = field(init=False, repr=False, compare=False)
     yhat_n: np.ndarray = field(init=False, repr=False, compare=False)
+    # phase_derivative_sup's result, kept on the first call
+    _phase_sup: Optional[PhaseSup] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         object.__setattr__(self, "zeros", tuple(complex(z) for z in self.zeros))
@@ -152,6 +162,12 @@ def _reduce_over_zeros(fn, x: np.ndarray, n_zeros: int, dtype=float) -> np.ndarr
     such arrays arise.  An input within one block goes to fn whole, in its
     own shape; a larger one in 1-D blocks.  Each point's value has the same
     bits either way.
+
+    eval_E's product over a points x zeros array walks each point's row
+    with a scalar accumulator, acc <- acc * (x - z_n) as re = ar br - ai bi,
+    im = ar bi + ai br, one rounding per float operation.  On real points
+    _real_axis_product makes the same operations zeros-major, with
+    br = x - Re z_n and bi = -Im z_n, so both orders give the same bits.
     """
     step = max(1, _PRODUCT_BLOCK // n_zeros)
     if x.size <= step:
@@ -163,21 +179,50 @@ def _reduce_over_zeros(fn, x: np.ndarray, n_zeros: int, dtype=float) -> np.ndarr
     return out.reshape(x.shape)
 
 
+def _real_axis_product(x: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """prod_n (x - roots_n) at real points x, zeros-major, with the bits of
+    the complex reduce (see _reduce_over_zeros).  Each block keeps the
+    running product as two float vectors: numpy fuses an elementwise complex
+    multiply, which differs in the last bit."""
+    flat = x.reshape(-1)
+    out = np.empty(flat.size, dtype=complex)
+    shifts, bis = roots.real.tolist(), (-roots.imag).tolist()
+    for i in range(0, flat.size, _REAL_AXIS_BLOCK):
+        xb = flat[i : i + _REAL_AXIS_BLOCK]
+        re, im = xb - shifts[0], np.full_like(xb, bis[0])
+        br, t, s = np.empty_like(xb), np.empty_like(xb), np.empty_like(xb)
+        for shift, bi in zip(shifts[1:], bis[1:]):
+            np.subtract(xb, shift, out=br)
+            np.subtract(np.multiply(re, br, out=t), np.multiply(im, bi, out=s), out=t)
+            np.add(np.multiply(re, bi, out=s), np.multiply(im, br, out=br), out=im)
+            re, t = t, re
+        out.real[i : i + _REAL_AXIS_BLOCK] = re
+        out.imag[i : i + _REAL_AXIS_BLOCK] = im
+    return out.reshape(x.shape)
+
+
 def eval_E(spec: HBSpec, z, conjugate: bool = False):
     """Evaluate E(z), or E#(z) = conj(E(conj z)) when conjugate is set.
 
     Vectorized over z.  One plain complex product over the zeros at every
     degree; where a partial product leaves the floating-point range the
     value is not finite, and the callers that need a finite E (Kernel and
-    hormander's whole-line scan) raise OverflowError.
+    hormander's whole-line scan) raise OverflowError.  The product runs in
+    one of two orders with the same roundings, so with the same bits: a
+    real input of at least _REAL_AXIS_MIN points goes zeros-major through
+    float vectors (_real_axis_product), any other input point by point
+    through numpy's complex reduce (_reduce_over_zeros).
     """
-    zz = np.asarray(z, dtype=complex)
+    arr = np.asarray(z)
+    zz = np.asarray(arr, dtype=complex)
     sgn = -1.0 if conjugate else 1.0
     roots = spec.conj_roots if conjugate else spec.roots
     out = spec.scale * np.exp(
         1j * sgn * spec.rotation - 1j * sgn * spec.exp_rate * zz
     )
-    if spec.degree:
+    if spec.degree and arr.dtype.kind in "fiu" and arr.size >= _REAL_AXIS_MIN:
+        out = out * _real_axis_product(np.asarray(arr, dtype=float), roots)
+    elif spec.degree:
         out = out * _reduce_over_zeros(
             lambda b: np.multiply.reduce(b[..., None] - roots, axis=-1),
             zz,
@@ -185,6 +230,17 @@ def eval_E(spec: HBSpec, z, conjugate: bool = False):
             complex,
         )
     return _scalar_if_0d(z, out)
+
+
+def _eval_E_pair(spec: HBSpec, z):
+    """(E(z), E#(z)).  Where every point is real this is (E, conj E) from
+    one product on the real parts: the two products then differ only in the
+    signs of their imaginary parts, bit for bit."""
+    zz = np.asarray(z, dtype=complex)
+    if not zz.imag.any():
+        e = eval_E(spec, zz.real)
+        return e, _scalar_if_0d(z, np.conj(e))
+    return eval_E(spec, zz), eval_E(spec, zz, conjugate=True)
 
 
 def eval_E_prime(spec: HBSpec, z, conjugate: bool = False):
@@ -223,8 +279,8 @@ def rotate(e, beta: float):
 
 def theta(spec: HBSpec, x):
     """The meromorphic inner function Theta_E = E#/E on the real axis."""
-    xx = np.asarray(x, dtype=float)
-    return eval_E(spec, xx, conjugate=True) / eval_E(spec, xx)
+    e, es = _eval_E_pair(spec, np.asarray(x, dtype=float))
+    return es / e
 
 
 @dataclass(frozen=True)
@@ -326,8 +382,15 @@ def phase_derivative_sup(spec: HBSpec) -> PhaseSup:
     phi' call, and every window is refined in one lockstep golden section
     (numerics.golden_max), one phi' call on the still-live brackets per
     iteration.  The result is the first window's maximum among the largest,
-    each window's exactly as sup_on_window would find it.
+    each window's exactly as sup_on_window would find it.  It is computed
+    once per spec object and kept on it.
     """
+    if spec._phase_sup is None:
+        object.__setattr__(spec, "_phase_sup", _phase_derivative_sup(spec))
+    return spec._phase_sup
+
+
+def _phase_derivative_sup(spec: HBSpec) -> PhaseSup:
     if spec.degree == 0:
         return PhaseSup(2.0 * spec.exp_rate, None)
     xs, ys = spec.x_n, spec.yhat_n
@@ -582,11 +645,8 @@ class RotationRealPart(StructuredEntire):
         self.beta = float(beta)
 
     def eval(self, z):
-        zz = np.asarray(z, dtype=complex)
-        w = 0.5 * (
-            np.exp(1j * self.beta) * eval_E(self.spec, zz)
-            + np.exp(-1j * self.beta) * eval_E(self.spec, zz, conjugate=True)
-        )
+        e, es = _eval_E_pair(self.spec, z)
+        w = 0.5 * (np.exp(1j * self.beta) * e + np.exp(-1j * self.beta) * es)
         return _scalar_if_0d(z, w)
 
     def certify(self, ambient: HBSpec) -> None:
@@ -638,8 +698,7 @@ class Kernel(StructuredEntire):
         self.t = float(t)
         # E(t), E#(t) and the numerator jet depend on t alone: once per kernel
         with np.errstate(over="ignore", invalid="ignore"):
-            self._et = complex(eval_E(spec, self.t))
-            self._ets = complex(eval_E(spec, self.t, conjugate=True))
+            self._et, self._ets = map(complex, _eval_E_pair(spec, self.t))
             self._jet = self._numerator_jet()
         if not all(cmath.isfinite(v) for v in (self._et, self._ets, *self._jet)):
             raise OverflowError(
@@ -677,8 +736,7 @@ class Kernel(StructuredEntire):
 
     def eval(self, z):
         zz = np.asarray(z, dtype=complex)
-        e, es = eval_E(self.spec, zz), eval_E(self.spec, zz, conjugate=True)
-        return _scalar_if_0d(z, self._from_E(zz, e, es))
+        return _scalar_if_0d(z, self._from_E(zz, *_eval_E_pair(self.spec, zz)))
 
     def _from_E(self, zz, e, es):
         """K_t at the complex array zz from E(zz) and E#(zz): the values are

@@ -241,10 +241,28 @@ class TestSchemaAndErrors:
     )
     def test_unread_flag_is_input_error(self, argv, capsys):
         # a flag the command would ignore is refused, not dropped silently
-        with pytest.raises(SystemExit) as exc:
-            run(argv)
-        assert exc.value.code == EXIT_INPUT
+        assert run(argv) == EXIT_INPUT
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["extremal", "--p", "two"], "invalid float value"),
+            (["bounds", "--p"], "expected one argument"),
+            (["no-such-command"], "invalid choice"),
+            ([], "required"),
+        ],
+    )
+    def test_usage_error_returns_input_code(self, argv, message, capsys):
+        # an in-process caller gets the exit code, not argparse's SystemExit
+        assert run(argv) == EXIT_INPUT
+        assert message in capsys.readouterr().err
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["extremal", "--help"])
+        assert exc.value.code == EXIT_OK
+        assert "--xi" in capsys.readouterr().out
 
     def test_env_tolerance_override(self, spec_file, tmp_path, monkeypatch):
         monkeypatch.setenv("DEBRANGES_TOL", "1e-7")

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -248,22 +249,23 @@ class TestPhaseDerivative:
         assert abs(-math.log(ratio) / y - 2 * 1.3) <= 1e-1
 
 
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _spec_with(rng, n, **kw):
+    zeros = [complex(rng.uniform(-3, 3), rng.uniform(-3, -0.1)) for _ in range(n)]
+    return HBSpec(zeros=zeros, **kw)
+
+
 class TestBlockedZeroSums:
     """Inputs larger than one block of _PRODUCT_BLOCK points x zeros entries
     give the bits of one unblocked evaluation."""
 
-    @staticmethod
-    def _spec(rng, n, rate=0.0):
-        zeros = [complex(rng.uniform(-3, 3), rng.uniform(-3, -0.1)) for _ in range(n)]
-        return HBSpec(exp_rate=rate, zeros=zeros, rotation=0.4, scale=1.3)
-
-    @staticmethod
-    def _same(blocked, whole):
-        return blocked.shape == whole.shape and blocked.tobytes() == whole.tobytes()
-
     @pytest.mark.parametrize("n", [12, 65, 128, 256])
     def test_blocked_equals_unblocked(self, rng, monkeypatch, n):
-        spec = self._spec(rng, n, rate=0.7)
+        spec = _spec_with(rng, n, exp_rate=0.7, rotation=0.4, scale=1.3)
         x = np.linspace(-4.0, 4.0, 3 * hb_core._PRODUCT_BLOCK // n + 17)
         z = (x + 1j * np.linspace(0.01, 4.0, x.size))[: x.size // 3 * 3].reshape(3, -1)
         assert x.size > hb_core._PRODUCT_BLOCK // n
@@ -281,7 +283,131 @@ class TestBlockedZeroSums:
         blocked = evaluate()
         monkeypatch.setattr(hb_core, "_PRODUCT_BLOCK", 1 << 40)
         for b, w in zip(blocked, evaluate()):
-            assert self._same(b, w)
+            assert _same_bits(b, w)
+
+
+class TestRealAxisProduct:
+    """A real input of at least _REAL_AXIS_MIN points takes the zeros-major
+    product; its values have the bits of the points x zeros complex reduce
+    that every complex input takes."""
+
+    @pytest.mark.parametrize("size", [2047, 2048, 2049, 30_000])
+    @pytest.mark.parametrize("n", [3, 12, 65, 256])
+    def test_real_input_equals_complex_reduce(self, rng, n, size):
+        spec = _spec_with(rng, n)
+        x = rng.uniform(-6.0, 6.0, size)
+        for conjugate in (False, True):
+            assert _same_bits(
+                eval_E(spec, x, conjugate=conjugate),
+                eval_E(spec, x.astype(complex), conjugate=conjugate),
+            )
+
+    def test_exponential_rotated_scaled_spec(self, rng):
+        spec = _spec_with(rng, 12, exp_rate=0.7, rotation=0.4, scale=1.3)
+        x = rng.uniform(-6.0, 6.0, 30_000)
+        for conjugate in (False, True):
+            real = eval_E(spec, x, conjugate=conjugate)
+            assert _same_bits(real, eval_E(spec, x.astype(complex), conjugate=conjugate))
+            assert _same_bits(
+                eval_E(spec, x.reshape(100, 300), conjugate=conjugate), real.reshape(100, 300)
+            )
+
+    def test_switch_point(self, rng, monkeypatch):
+        spec = _spec_with(rng, 12)
+        sizes = []
+        real = hb_core._real_axis_product
+        monkeypatch.setattr(
+            hb_core, "_real_axis_product", lambda x, r: sizes.append(x.size) or real(x, r)
+        )
+        x = rng.uniform(-6.0, 6.0, hb_core._REAL_AXIS_MIN)
+        for pts in (x, x[:-1], x.astype(complex), x[0]):
+            eval_E(spec, pts)
+        assert sizes == [hb_core._REAL_AXIS_MIN]
+
+    @pytest.mark.parametrize("size", [50, 30_000])
+    def test_conjugate_is_conj_on_real_axis(self, rng, size):
+        for spec in (_spec_with(rng, 65), _spec_with(rng, 12, exp_rate=0.7, rotation=0.4)):
+            x = rng.uniform(-6.0, 6.0, size)
+            assert _same_bits(eval_E(spec, x, conjugate=True), np.conj(eval_E(spec, x)))
+
+
+class TestOneProductForEAndESharp:
+    """RotationRealPart, Kernel and theta take E# = conj E from one product
+    on the real axis: the bits of their two-product formulas."""
+
+    @staticmethod
+    def _points(rng):
+        x = rng.uniform(-6.0, 6.0, 5000)
+        return [x, x[:40], x.astype(complex), x[:40] + 1j * rng.uniform(-1, 3, 40), 0.3, 0.3 + 0.2j]
+
+    @staticmethod
+    def _pair(spec, z):
+        zz = np.asarray(z, dtype=complex)
+        return eval_E(spec, zz), eval_E(spec, zz, conjugate=True)
+
+    @pytest.fixture(params=["polynomial", "exponential"])
+    def spec(self, rng, request):
+        if request.param == "polynomial":
+            return _spec_with(rng, 24)
+        return _spec_with(rng, 6, exp_rate=0.7, rotation=0.4, scale=1.3)
+
+    def test_rotation_real_part(self, rng, spec):
+        f = RotationRealPart(spec, 0.9)
+        for z in self._points(rng):
+            e, es = self._pair(spec, z)
+            ref = 0.5 * (np.exp(0.9j) * e + np.exp(-0.9j) * es)
+            assert _same_bits(f.eval(z), ref)
+
+    def test_kernel(self, rng, spec):
+        k = Kernel(spec, 0.25)
+        assert (k._et, k._ets) == tuple(map(complex, self._pair(spec, 0.25)))
+        for z in self._points(rng) + [0.25, np.array([0.25, 0.25 + 1e-6])]:
+            ref = k._from_E(np.asarray(z, dtype=complex), *self._pair(spec, z))
+            assert _same_bits(k.eval(z), ref)
+
+    def test_theta(self, rng, spec):
+        x = rng.uniform(-6.0, 6.0, 5000)
+        for pts in (x, x[:40], 0.3):
+            e, es = self._pair(spec, pts)
+            assert _same_bits(theta(spec, pts), es / e)
+        assert type(theta(spec, 0.3)) is complex
+
+
+class TestPhaseSupMemo:
+    """phase_derivative_sup keeps its result on the spec object."""
+
+    @staticmethod
+    def _count_phase_derivative(monkeypatch):
+        calls = []
+        real = hb_core.phase_derivative
+        monkeypatch.setattr(
+            hb_core, "phase_derivative", lambda s, x: calls.append(s) or real(s, x)
+        )
+        return calls
+
+    def test_second_call_makes_no_phase_derivative_call(self, monkeypatch):
+        spec = reference_specs()[24]
+        calls = self._count_phase_derivative(monkeypatch)
+        first = phase_derivative_sup(spec)
+        assert calls
+        calls.clear()
+        assert phase_derivative_sup(spec) == first
+        assert calls == []
+
+    def test_equal_or_replaced_spec_computes_its_own(self, monkeypatch):
+        spec = reference_specs()[24]
+        first = phase_derivative_sup(spec)
+        calls = self._count_phase_derivative(monkeypatch)
+        for other in (HBSpec(zeros=spec.zeros), dataclasses.replace(spec)):
+            assert other == spec and other is not spec
+            calls.clear()
+            assert phase_derivative_sup(other) == first
+            assert calls and all(s is other for s in calls)
+
+    def test_not_part_of_equality_hash_or_repr(self):
+        a, b = HBSpec(zeros=(-1j, 2 - 1j)), HBSpec(zeros=(-1j, 2 - 1j))
+        phase_derivative_sup(a)
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
 
 
 class TestProductAccuracy:
