@@ -25,7 +25,14 @@ from .hb_core import (
     phase_derivative_sup,
     rotate,
 )
-from .numerics import QuadratureScheme, _graded_kinks, _integrate_batch, integrate, log_gamma
+from .numerics import (
+    NonConvergenceError,
+    QuadratureScheme,
+    _graded_kinks,
+    _integrate_batch,
+    integrate,
+    log_gamma,
+)
 
 __all__ = [
     "K_p_closed",
@@ -115,7 +122,8 @@ def interval_energy(
     integrands vanish like |x - a|^p at the ends; the panels are graded
     toward the ends only for non-integer p, where that kink costs the rule
     its geometric convergence (for integer p each end is a plain panel
-    edge, as numerics._graded_kinks decides).
+    edge, as numerics._graded_kinks decides).  Raises NonConvergenceError
+    when either integral misses its quadrature target.
     """
     if not p > 0:
         raise ValueError("p must be positive")
@@ -150,6 +158,8 @@ def interval_energy(
     res, ide = _integrate_batch(
         integrands, 2, (a_l, a_r), scheme, (a_l, a_r), graded=_graded_kinks(p)
     )
+    if not (res.converged and ide.converged):
+        raise NonConvergenceError(f"interval energy integrals unconverged: {res}, {ide}")
     identity_value = 2.0 ** (-p / 2) * ide.value
     if abs(identity_value - res.value) > identity_tol * max(abs(res.value), 1e-300):
         raise ArithmeticError(

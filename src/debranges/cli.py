@@ -19,6 +19,7 @@ import math
 import os
 import sys
 import time
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -314,9 +315,11 @@ _FLAGS = {
 _EXTREMAL_FLAGS = {"spec", "p", "xi", "window", "degree", "nodes", "seed", "out"}
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     """One subparser per command, declaring only the flags its handler (or
-    run, for --out) reads, so any other flag is an input error."""
+    run, for --out) reads, so any other flag is an input error.  Built once
+    per process: parsing leaves the parser as it was."""
     parser = argparse.ArgumentParser(
         prog="debranges",
         description="Hermite-Biehler phase machinery, lower-bound verification, "

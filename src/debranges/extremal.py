@@ -32,6 +32,7 @@ from .hb_core import (
     phase_derivative_sup,
 )
 from .numerics import (
+    IntegralResult,
     NonConvergenceError,
     QuadratureScheme,
     _graded_kinks,
@@ -165,6 +166,8 @@ class ExtremalSolution:
     coefficients are monomial for polynomial mode and kernel weights for
     Paley-Wiener mode; `eval` reconstructs f from the solve's basis and its
     coefficients there (a scaled Chebyshev series / kernel sums).
+    norm_converged says whether both norm integrals, of the optimum and of
+    its rescaling, met their quadrature target; it is not part of to_dict.
     """
 
     p: float
@@ -177,6 +180,7 @@ class ExtremalSolution:
     orthogonality_residuals: Tuple[float, ...]
     min_zero_gap: float
     norm_residual: float
+    norm_converged: bool
     truncated: bool
     basis_kind: str
     _basis: Union[_ChebBasis, _KernelBasis]
@@ -362,25 +366,26 @@ class _SliceSolver:
     The grid's panels are graded toward splits, the |F|^p kinks (estimated
     zeros of the candidate), and doubled until the p = 2 Gram trace of the
     ratio basis psi = basis / |E| settles.  Round 0 starts at _QUAD_PANELS.
-    A later round passes its predecessor as `previous` and starts from its
-    panel count and trace; the trace integrates the smooth psi and does not
-    depend on the grading, so such a round builds its grid once.
+    A later round passes the (panels, trace) its predecessor accepted as
+    `previous` and starts from them; the trace integrates the smooth psi and
+    does not depend on the grading, so such a round builds its grid once.
     """
 
     def __init__(
         self, problem: ExtremalProblem, basis, splits: Sequence[float] = (),
-        previous: Optional[_SliceSolver] = None,
+        previous: Optional[Tuple[int, float]] = None,
     ):
         self.p, self.basis, self.spec = problem.p, basis, problem.spec
-        panels, trace = _QUAD_PANELS, None
-        if previous is not None:
-            panels, trace = previous.panels, previous.trace
+        panels, trace = previous or (_QUAD_PANELS, None)
         for build in range(5):
             if build:
                 panels *= 2
             x, w = _grid(basis.domain, panels, _QUAD_NODES, splits)
-            psi = basis.matrix(x) / np.abs(eval_E(self.spec, x))[:, None]
-            tr = float(np.sum(w[:, None] * psi * psi))
+            psi = basis.matrix(x)
+            np.divide(psi, np.abs(eval_E(self.spec, x))[:, None], out=psi)
+            wpsi2 = w[:, None] * psi
+            tr = float(np.sum(np.multiply(wpsi2, psi, out=wpsi2)))
+            del wpsi2
             if trace is not None and abs(tr - trace) <= 1e-13 * abs(tr):
                 break
             trace = tr
@@ -389,7 +394,9 @@ class _SliceSolver:
         self.b = abs(complex(eval_E(self.spec, problem.xi)))
         if float(np.max(np.abs(v))) == 0.0:
             raise ValueError("every basis element vanishes at xi; slice is empty")
-        self.R = R = np.linalg.qr(np.sqrt(w)[:, None] * psi, mode="r")
+        # LAPACK is column-major: numpy hands it an F-ordered input (the
+        # kernel basis's psi is C-ordered) as one block copy
+        self.R = R = np.linalg.qr(np.multiply(np.sqrt(w)[:, None], psi, order="F"), mode="r")
         diag = np.abs(np.diag(R))
         if np.min(diag) < 1e-13 * np.max(diag):
             raise ValueError("basis is numerically rank-deficient on this grid")
@@ -546,9 +553,10 @@ def solve(problem: ExtremalProblem, seed: Optional[int] = None) -> ExtremalSolut
     # final norm integrals put panel edges at the zeros for the same reason.
     kinked = p != 2 * round(p / 2)
     rounds = 13 if kinked and n_free > 0 else 1
-    splits, c_star, solver = np.zeros(0), None, None
+    splits, c_star, grid = np.zeros(0), None, None
     for k in range(rounds):
-        solver = _SliceSolver(problem, basis, splits, solver)
+        solver = _SliceSolver(problem, basis, splits, grid)
+        grid = solver.panels, solver.trace
         if c_star is not None:
             starts = [solver.warm_start(c_star)]
         elif (seed is None and p >= 1) or n_free == 0:
@@ -580,6 +588,7 @@ def solve(problem: ExtremalProblem, seed: Optional[int] = None) -> ExtremalSolut
         splits = zeros
 
     kkt = solver.kkt_residual(u_best)
+    del solver  # the final integrals need only c_star
     if p >= 1 and kkt > max(10 * problem.kkt_tol, 1e-6):
         raise NonConvergenceError(f"KKT residual {kkt} above tolerance")
 
@@ -588,7 +597,7 @@ def solve(problem: ExtremalProblem, seed: Optional[int] = None) -> ExtremalSolut
     splits = zeros if kinked else []
     scheme = QuadratureScheme(panels=16, max_refinements=8)
 
-    def norm_pth_power(c):
+    def norm_pth_power(c) -> IntegralResult:
         """int |f/E|^p for the coefficients c, with panel edges at the zeros
         of f unless p is an even integer: integrate's panels graded toward
         them for non-integer p, plain edges for integer p
@@ -598,17 +607,19 @@ def solve(problem: ExtremalProblem, seed: Optional[int] = None) -> ExtremalSolut
             return np.abs(np.real(basis.eval(c, x)) / np.abs(eval_E(problem.spec, x))) ** p
 
         if _graded_kinks(p):
-            return integrate(ratio_pow, basis.domain, scheme, singular_points=splits).value
+            return integrate(ratio_pow, basis.domain, scheme, singular_points=splits)
         return _integrate_batch(
             lambda x, active: [ratio_pow(x)], 1, basis.domain, scheme, splits, graded=False
-        )[0].value
+        )[0]
 
     # exact norm of the unscaled optimum
-    norm_p = norm_pth_power(c_star) ** (1.0 / p)
+    norm = norm_pth_power(c_star)
+    norm_p = norm.value ** (1.0 / p)
     c_final = c_star / norm_p
     C_value = 1.0 / norm_p
     # residual of ||f/E||_p = 1 after rescaling, re-measured independently
-    norm_residual = abs(norm_pth_power(c_final) ** (1.0 / p) - 1.0)
+    unit = norm_pth_power(c_final)
+    norm_residual = abs(unit.value ** (1.0 / p) - 1.0)
 
     return ExtremalSolution(
         p=p,
@@ -623,6 +634,7 @@ def solve(problem: ExtremalProblem, seed: Optional[int] = None) -> ExtremalSolut
         ),
         min_zero_gap=_min_gap(zeros),
         norm_residual=norm_residual,
+        norm_converged=norm.converged and unit.converged,
         truncated=problem.truncated,
         basis_kind=basis.kind,
         _basis=basis,

@@ -17,6 +17,10 @@ such a kink the rule converges only algebraically.  Where q is an integer,
 as in the interval energies and zero-pair integrals at integer p, each side
 of s is analytic and the plain edge already gives Gauss-Legendre its
 geometric convergence; _graded_kinks(p) is the one place that decides.
+A refined grid is summed in blocks of whole panels and its integrands are
+evaluated on smaller sub-blocks, so the memory a level holds does not grow
+with the level, and each level sum keeps the bits of one evaluation per
+block (_panel_sums).
 """
 
 from __future__ import annotations
@@ -45,6 +49,13 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Geometric grading depth toward declared singular points.  2**-48 of a panel
 # width is far below any tolerance used by callers.
 _GRADING_DEPTH = 48
+
+# Nodes per np.sum of a panel-doubling level (the unit that fixes each sum's
+# bits), about how many nodes the integrands see at once, and how many
+# weighted values (8 MB) the integrands of one block may hold (_panel_sums).
+_SUM_BLOCK = 1 << 18
+_EVAL_BLOCK = 1 << 15
+_STORE = 1 << 20
 
 
 class NonConvergenceError(RuntimeError):
@@ -171,24 +182,45 @@ def _grid(domain, panels: int, nodes: int, splits: Iterable[float] = ()):
 
 def _panel_sums(integrands, edges, n_nodes, active, line):
     """Gauss-Legendre sums of the active integrands over the panels between
-    edges; on the line, nodes are theta and the integrands see x = tan(theta)."""
+    edges; on the line, nodes are theta and the integrands see x = tan(theta).
+
+    Vectorized over panels, in blocks so refined grids stay within memory.
+    One np.sum adds an integrand's weighted values over a block of
+    _SUM_BLOCK nodes (the whole level, if smaller); those sums fix the
+    level's bits.  The integrands are evaluated on sub-blocks of whole
+    panels, about _EVAL_BLOCK nodes each, and their weighted values are
+    written into one array per integrand for the block, so the integrands'
+    temporaries are an eighth of a block's.  The arrays hold at most _STORE
+    values: where more integrands are active than fit, they are evaluated
+    in turns over the block.  Neither sub-blocks nor turns change a value or
+    the order in which it is added.
+    """
     nodes, weights = _gl_rule(n_nodes)
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])
-    # vectorized over panels, in blocks so refined grids stay within memory
-    block = max(1, 262144 // n_nodes)
+    block = max(1, _SUM_BLOCK // n_nodes)
+    sub = max(1, _EVAL_BLOCK // n_nodes)
+    rows = min(block, half.size)
+    turn = max(1, _STORE // (rows * n_nodes))
+    weighted = np.empty((min(turn, len(active)), rows, n_nodes))
     totals = [0.0] * len(active)
     for i in range(0, half.size, block):
-        h = half[i : i + block]
-        t = mid[i : i + block, None] + h[:, None] * nodes[None, :]
-        x = t.ravel()
-        if line:
-            x, jac = np.tan(x), np.cos(x) ** 2
-        for slot, fx in enumerate(integrands(x, active)):
-            if line:
-                fx = np.asarray(fx) / jac
-            fx = np.asarray(fx, dtype=float).reshape(t.shape)
-            totals[slot] += float(np.sum(fx * weights[None, :] * h[:, None]))
+        end = min(i + block, half.size)
+        for first in range(0, len(active), turn):
+            group = active[first : first + turn]
+            for k in range(i, end, sub):
+                h = half[k : min(k + sub, end)]
+                t = mid[k : k + h.size, None] + h[:, None] * nodes[None, :]
+                x = t.ravel()
+                if line:
+                    x, jac = np.tan(x), np.cos(x) ** 2
+                for out, fx in zip(weighted[:, k - i : k - i + h.size], integrands(x, group)):
+                    if line:
+                        fx = np.asarray(fx) / jac
+                    fx = np.asarray(fx, dtype=float).reshape(t.shape)
+                    np.multiply(np.multiply(fx, weights[None, :], out=out), h[:, None], out=out)
+            for slot, values in enumerate(weighted[: len(group), : end - i], first):
+                totals[slot] += float(np.sum(values))
     return totals
 
 

@@ -26,7 +26,7 @@ from debranges.hb_core import (
     level_crossings,
     phase_derivative_sup,
 )
-from debranges.numerics import _integrate_batch, integrate
+from debranges.numerics import NonConvergenceError, QuadratureScheme, _integrate_batch, integrate
 
 S_PI = HBSpec(exp_rate=math.pi)
 ONE = HBSpec(zeros=(-1j,))
@@ -162,6 +162,13 @@ class TestIntervalEnergy:
         interval_energy(S_PI, 0.0, p, (0.5, 1.5))
         plain = 16 * 32
         assert (sizes[0] > plain) if graded else (sizes[0] == plain)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5])
+    def test_unconverged_integral_raises(self, p):
+        # one refinement of two 2-node panels cannot meet the 1e-12 target
+        scheme = QuadratureScheme(panels=2, nodes_per_panel=2, max_refinements=1)
+        with pytest.raises(NonConvergenceError, match="unconverged"):
+            interval_energy(S_PI, 0.0, p, (0.5, 1.5), scheme=scheme)
 
     def test_rejects_non_consecutive(self):
         prof = PhaseProfile(S_PI)

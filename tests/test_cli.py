@@ -264,6 +264,23 @@ class TestSchemaAndErrors:
         assert exc.value.code == EXIT_OK
         assert "--xi" in capsys.readouterr().out
 
+    def test_one_parser_per_process(self, spec_file, tmp_path, capsys):
+        # run reuses one parser: a usage error or --help leaves it as it
+        # was, and each report echoes only its own command's flags
+        cli._build_parser.cache_clear()
+        out = tmp_path / "r.json"
+        spec = spec_file(CUBIC_JSON)
+        assert run(["phase", "--spec", spec, "--window", "0,2", "--out", str(out)]) == EXIT_OK
+        assert read_report(out)["inputs"] == {"spec": spec, "window": "0,2", "out": str(out)}
+        assert run(["bounds", "--p"]) == EXIT_INPUT
+        with pytest.raises(SystemExit) as exc:
+            run(["bounds", "--help"])
+        assert exc.value.code == EXIT_OK
+        assert run(["bounds", "--p", "2", "--out", str(out)]) == EXIT_OK
+        assert read_report(out)["inputs"] == {"p": 2.0, "out": str(out)}
+        assert cli._build_parser.cache_info().misses == 1
+        assert "expected one argument" in capsys.readouterr().err
+
     def test_env_tolerance_override(self, spec_file, tmp_path, monkeypatch):
         monkeypatch.setenv("DEBRANGES_TOL", "1e-7")
         out = tmp_path / "r.json"

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -25,7 +26,7 @@ from debranges.extremal import (
     solve,
     symmetrize_real,
 )
-from debranges.numerics import _integrate_batch, integrate
+from debranges.numerics import QuadratureScheme, _integrate_batch, integrate
 
 TWO = HBSpec(zeros=(-1j, -1j))
 THREE = HBSpec(zeros=(-1j,) * 3)
@@ -98,6 +99,25 @@ class TestSolveP2:
         prob = ExtremalProblem(p=2.0, spec=FOUR, xi=0.3, basis=PolynomialBasis(2))
         sol = solve(prob)
         assert sol.C_value <= C2_exact(FOUR, 0.3) * (1 + 1e-10)
+
+    def test_norm_integrals_converged(self):
+        prob = ExtremalProblem(p=2.0, spec=FOUR, xi=0.3, basis=PolynomialBasis(2))
+        assert solve(prob).norm_converged
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_unconverged_norm_integral_is_reported(self, p, monkeypatch):
+        # the norm integrals' scheme (16 panels) left no refinement: the
+        # solution says so, and its report keys stay as they were
+        def scheme(**kwargs):
+            if kwargs.get("panels") == 16:
+                kwargs["max_refinements"] = 0
+            return QuadratureScheme(**kwargs)
+
+        monkeypatch.setattr(X, "QuadratureScheme", scheme)
+        prob = ExtremalProblem(p=p, spec=FOUR, xi=0.3, basis=PolynomialBasis(2))
+        sol = solve(prob)
+        assert not sol.norm_converged
+        assert "norm_converged" not in sol.to_dict()
 
     def test_basis_monotonicity(self, rng):
         spec = make_random_spec(rng, 6, 8)
@@ -455,6 +475,70 @@ class TestDiscretization:
             assert ref() is None
         finally:
             gc.enable()
+
+    def test_previous_grid_is_built_once(self, monkeypatch):
+        # a solver started from another's accepted (panels, trace) builds
+        # that grid once, and on the same splits it is the same solver
+        prob = ExtremalProblem(p=3.0, spec=FOUR, xi=0.25, basis=PolynomialBasis(2))
+        basis = X._ChebBasis(prob)
+        first = X._SliceSolver(prob, basis)
+        grids, grid = [], X._grid
+        monkeypatch.setattr(X, "_grid", lambda *args: grids.append(args[1]) or grid(*args))
+        again = X._SliceSolver(prob, basis, (), (first.panels, first.trace))
+        assert grids == [first.panels]
+        assert (again.panels, again.trace) == (first.panels, first.trace)
+        for name in ("w", "R", "A", "g0", "Z", "y_feas"):
+            assert np.array_equal(getattr(again, name), getattr(first, name))
+
+    def test_solve_frees_each_round(self, monkeypatch):
+        # a round's solver lives on only while the next one builds, and the
+        # last one is gone before the final integrals
+        prob = ExtremalProblem(p=3.0, spec=FOUR, xi=0.25, basis=PolynomialBasis(2))
+        solvers, live_at_build, live_at_integral = [], [], []
+        init, batch = X._SliceSolver.__init__, X._integrate_batch
+
+        def tracked_init(self, *args):
+            live_at_build.append(sum(ref() is not None for ref in solvers))
+            init(self, *args)
+            solvers.append(weakref.ref(self))
+
+        def tracked_batch(*args, **kwargs):
+            live_at_integral.append(sum(ref() is not None for ref in solvers))
+            return batch(*args, **kwargs)
+
+        monkeypatch.setattr(X._SliceSolver, "__init__", tracked_init)
+        monkeypatch.setattr(X, "_integrate_batch", tracked_batch)
+        gc.disable()
+        try:
+            solve(prob)
+        finally:
+            gc.enable()
+        assert len(solvers) >= 2
+        assert live_at_build == [0] + [1] * (len(solvers) - 1)
+        assert len(live_at_integral) == 3 and not any(live_at_integral)
+
+    def test_refined_solve_memory_is_bounded(self, monkeypatch):
+        # p = 1.5 norm integrals on 4-node panels that never converge: 9
+        # doublings, over 600,000 nodes at the last level.  Evaluated on
+        # whole 262,144-node blocks the solve peaked at 32 MB traced; on
+        # sub-blocks it stays near 10 MB
+        def scheme(**kwargs):
+            if kwargs.get("panels") == 16:
+                kwargs.update(nodes_per_panel=4, max_refinements=9, target_rel_error=1e-300)
+            return QuadratureScheme(**kwargs)
+
+        monkeypatch.setattr(X, "QuadratureScheme", scheme)
+        spec = HBSpec(zeros=(-1j, -2j, 0.5 - 1j, -0.5 - 1.5j, 1 - 0.7j, -1.2 - 0.9j))
+        prob = ExtremalProblem(p=1.5, spec=spec, xi=0.3, basis=PolynomialBasis(4))
+        solve(prob)
+        tracemalloc.start()
+        try:
+            sol = solve(prob)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not sol.norm_converged
+        assert peak <= 16e6
 
     def test_graded_round_builds_its_grid_once(self, monkeypatch):
         # round 0 checks 32 against 64 panels; each graded round starts from

@@ -1,13 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from debranges import numerics as N
 from debranges.numerics import (
     BracketError,
     NonConvergenceError,
     QuadratureScheme,
+    _gl_rule,
     _graded_edges,
+    _mapped_edges,
+    _panel_sums,
     golden_max,
     integrate,
     log_gamma,
@@ -93,6 +98,92 @@ class TestIntegrate:
                 set(np.linspace(a, b, panels + 1).tolist())
                 | {p for p in pts if a <= p <= b}
             )
+
+
+def _panel_sums_one_shot(integrands, edges, n_nodes, active, line):
+    """The level sums evaluated on whole 262,144-node blocks: the reference
+    whose bits the sub-blocked _panel_sums keeps."""
+    nodes, weights = _gl_rule(n_nodes)
+    half = 0.5 * np.diff(edges)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    block = max(1, 262144 // n_nodes)
+    totals = [0.0] * len(active)
+    for i in range(0, half.size, block):
+        h = half[i : i + block]
+        t = mid[i : i + block, None] + h[:, None] * nodes[None, :]
+        x = t.ravel()
+        if line:
+            x, jac = np.tan(x), np.cos(x) ** 2
+        for slot, fx in enumerate(integrands(x, active)):
+            if line:
+                fx = np.asarray(fx) / jac
+            fx = np.asarray(fx, dtype=float).reshape(t.shape)
+            totals[slot] += float(np.sum(fx * weights[None, :] * h[:, None]))
+    return totals
+
+
+def _kinked_integrands(seen):
+    """Five integrands with |x - s|^q kinks and a shared factor; records the
+    node count and the integrands asked for at every call."""
+
+    def integrands(x, active):
+        seen.append((x.size, list(active)))
+        base = 1.0 / (1.0 + x * x)
+        for j in active:
+            if j == 0:
+                yield base
+            elif j == 1:
+                yield np.abs(x - 0.3) ** 1.5 * base ** 2
+            elif j == 2:
+                yield np.cos(3.0 * x) * base
+            elif j == 3:
+                yield np.abs((x + 1.2) * (x - 0.7)) ** 0.5 * base ** 1.5
+            else:
+                yield np.sign(x - 0.7) * np.abs(x - 0.7) ** 2.5 * base ** 3
+
+    return integrands
+
+
+class TestPanelSums:
+    @pytest.mark.parametrize("domain", [None, (-2.0, 3.0)])
+    @pytest.mark.parametrize("active", [[2], [0, 1, 3], [0, 1, 2, 3, 4]])
+    @pytest.mark.parametrize("n_nodes", [32, 24])
+    def test_sub_blocks_keep_the_one_shot_bits(self, domain, active, n_nodes):
+        # a level of 2.4 to 3.3 full 262,144-node blocks, each evaluated on
+        # sub-blocks, five integrands in two turns: every sum equals, bit
+        # for bit, the one of a whole-block evaluation of all of them
+        edges, line = _mapped_edges(domain, 16, (0.3, -1.2, 0.7))
+        while (edges.size - 1) * n_nodes < 2.4 * N._SUM_BLOCK:
+            edges = N._halve(edges)
+        seen, ref_seen = [], []
+        got = _panel_sums(_kinked_integrands(seen), edges, n_nodes, active, line)
+        ref = _panel_sums_one_shot(_kinked_integrands(ref_seen), edges, n_nodes, active, line)
+        assert got == ref
+        assert max(size for size, _ in ref_seen) > 2 * N._EVAL_BLOCK
+        assert max(size for size, _ in seen) <= N._EVAL_BLOCK
+        per_turn = N._STORE // N._SUM_BLOCK
+        assert max(len(asked) for _, asked in seen) == min(len(active), per_turn)
+        turns = -(-len(active) // per_turn)
+        assert len(seen) >= 3 * turns * N._SUM_BLOCK // N._EVAL_BLOCK
+
+    def test_refined_integral_memory_is_bounded(self):
+        # a p = 1.5 kink integrand on the line whose last level holds over
+        # 300,000 nodes; evaluated on whole blocks its temporaries peaked at
+        # about 19 MB, on sub-blocks at about 4 MB
+        scheme = QuadratureScheme(panels=16, max_refinements=5, target_rel_error=1e-300)
+
+        def f(x):
+            return np.abs((x - 0.3) * (x + 1.2) / (1.0 + x * x) ** 1.5) ** 1.5
+
+        f(np.linspace(0.0, 1.0, 64))
+        tracemalloc.start()
+        try:
+            res = integrate(f, None, scheme, singular_points=(0.3, -1.2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.refinements == 5 and not res.converged
+        assert peak <= 8e6
 
 
 class TestLogGamma:
