@@ -414,11 +414,11 @@ def crit_08_p2_consistency(ctx) -> Tuple[bool, str]:
 # ---------------------------------------------------------------------------
 
 
-def _crit9_instances(ctx):
-    if "crit9" in ctx:
-        return ctx["crit9"]
-    rng = np.random.default_rng(ctx["seed"] + 9)
-    instances = []
+def _crit9_problems(seed: int) -> List[X.ExtremalProblem]:
+    """Criterion 9's problems: ten random specs, one xi each, every p of
+    (1, 1.5, 2, 3) at degree N - 2."""
+    rng = np.random.default_rng(seed + 9)
+    problems = []
     specs = []
     for _ in range(10):
         n = int(rng.integers(4, 11))
@@ -433,13 +433,16 @@ def _crit9_instances(ctx):
     for spec in specs:
         xi = float(rng.uniform(-1.0, 1.0))
         for p in (1.0, 1.5, 2.0, 3.0):
-            prob = X.ExtremalProblem(
+            problems.append(X.ExtremalProblem(
                 p=p, spec=spec, xi=xi, basis=X.PolynomialBasis(spec.degree - 2)
-            )
-            sol = X.solve(prob)
-            instances.append((prob, sol))
-    ctx["crit9"] = instances
-    return instances
+            ))
+    return problems
+
+
+def _crit9_instances(ctx):
+    if "crit9" not in ctx:
+        ctx["crit9"] = [(prob, X.solve(prob)) for prob in _crit9_problems(ctx["seed"])]
+    return ctx["crit9"]
 
 
 def _perturbed_residual(prob, sol, rng) -> float:

@@ -363,12 +363,20 @@ class _Polish(NamedTuple):
 class _SliceSolver:
     """One round's discretization, and QR-preconditioned damped Newton on it.
 
-    The grid's panels are graded toward splits, the |F|^p kinks (estimated
-    zeros of the candidate), and doubled until the p = 2 Gram trace of the
-    ratio basis psi = basis / |E| settles.  Round 0 starts at _QUAD_PANELS.
-    A later round passes the (panels, trace) its predecessor accepted as
+    The grid has panel edges at splits, the |F|^p kinks (estimated zeros of
+    the candidate), and is doubled until the p = 2 Gram trace of the ratio
+    basis psi = basis / |E| settles.  Round 0 starts at _QUAD_PANELS.  A
+    later round passes the (panels, trace) its predecessor accepted as
     `previous` and starts from them; the trace integrates the smooth psi and
-    does not depend on the grading, so such a round builds its grid once.
+    does not depend on the splits, so such a round builds its grid once.
+
+    The panels are also graded toward the splits where p < 2 or p is not an
+    integer.  At integer p >= 2 each side of a kink is analytic and the
+    gradient p |g|^(p-1) sign g is Lipschitz, so plain edges keep the rule's
+    geometric convergence (numerics._graded_kinks).  p = 1 keeps its grading
+    although its kinks |g| have integer exponent: its gradient sign g jumps
+    at each of them, and on plain edges the KKT gate failed on 6 of the 10
+    criterion-9 p = 1 solves of seed 0.
     """
 
     def __init__(
@@ -377,10 +385,11 @@ class _SliceSolver:
     ):
         self.p, self.basis, self.spec = problem.p, basis, problem.spec
         panels, trace = previous or (_QUAD_PANELS, None)
+        graded = self.p < 2 or _graded_kinks(self.p)
         for build in range(5):
             if build:
                 panels *= 2
-            x, w = _grid(basis.domain, panels, _QUAD_NODES, splits)
+            x, w = _grid(basis.domain, panels, _QUAD_NODES, splits, graded)
             psi = basis.matrix(x)
             np.divide(psi, np.abs(eval_E(self.spec, x))[:, None], out=psi)
             wpsi2 = w[:, None] * psi
@@ -531,10 +540,13 @@ def solve(problem: ExtremalProblem, seed: Optional[int] = None) -> ExtremalSolut
 
     seed randomizes the Newton starting point (used to confirm uniqueness
     for p >= 1).  After first convergence the quadrature grid is rebuilt
-    with panels graded toward the estimated zeros of the candidate (the
-    |F|^p kinks), unless p is an even integer and the integrand is smooth;
-    each such round starts from the previous round's panel count and Gram
-    trace and builds its grid once (see `_SliceSolver`).
+    with panel edges at the estimated zeros of the candidate (the |F|^p
+    kinks), unless p is an even integer and the integrand is smooth; the
+    panels are graded toward them where p < 2 or p is not an integer (p = 1
+    keeps its grading for its exact-sign polish; see `_SliceSolver`).  Each
+    such round starts from the previous round's panel count and Gram trace
+    and builds its grid once.  The reported zeros are those of the returned,
+    rescaled coefficients.
     On the polynomial basis, 1 < p < 2 polishes each graded round with
     `exact_newton_polish`; at p = 1 every round, the unsplit one included,
     hands its eps ladder over to that polish inside `continuation`.  0 < p < 1
@@ -546,7 +558,7 @@ def solve(problem: ExtremalProblem, seed: Optional[int] = None) -> ExtremalSolut
     kind = _ChebBasis if isinstance(problem.basis, PolynomialBasis) else _KernelBasis
     basis = kind(problem)
     # |F|^p is not smooth at the zeros of F unless p is an even integer, so
-    # after the unsplit round each round grades its grid toward the previous
+    # after the unsplit round each round splits its grid at the previous
     # round's zeros, until the zeros reach a fixed point: if a split lags the
     # true sign change, the grid gradient is wrong on the mismatch interval,
     # which matters most along nearly flat directions (far-out zeros).  The
@@ -592,15 +604,12 @@ def solve(problem: ExtremalProblem, seed: Optional[int] = None) -> ExtremalSolut
     if p >= 1 and kkt > max(10 * problem.kkt_tol, 1e-6):
         raise NonConvergenceError(f"KKT residual {kkt} above tolerance")
 
-    zeros = basis.real_zeros(c_star)
-
-    splits = zeros if kinked else []
     scheme = QuadratureScheme(panels=16, max_refinements=8)
 
-    def norm_pth_power(c) -> IntegralResult:
-        """int |f/E|^p for the coefficients c, with panel edges at the zeros
-        of f unless p is an even integer: integrate's panels graded toward
-        them for non-integer p, plain edges for integer p
+    def norm_pth_power(c, splits) -> IntegralResult:
+        """int |f/E|^p for the coefficients c, with panel edges at splits
+        (the real zeros of f unless p is an even integer): integrate's panels
+        graded toward them for non-integer p, plain edges for integer p
         (numerics._graded_kinks)."""
 
         def ratio_pow(x):
@@ -612,13 +621,17 @@ def solve(problem: ExtremalProblem, seed: Optional[int] = None) -> ExtremalSolut
             lambda x, active: [ratio_pow(x)], 1, basis.domain, scheme, splits, graded=False
         )[0]
 
-    # exact norm of the unscaled optimum
-    norm = norm_pth_power(c_star)
+    # exact norm of the unscaled optimum; where it has kinks, rooting c_star
+    # is also the gate against complex zeros
+    norm = norm_pth_power(c_star, basis.real_zeros(c_star) if kinked else [])
     norm_p = norm.value ** (1.0 / p)
     c_final = c_star / norm_p
     C_value = 1.0 / norm_p
+    # the reported zeros are those of the returned f (extract_zeros roots the
+    # same c_final): at the rooting's precision floor c_star's differ
+    zeros = basis.real_zeros(c_final)
     # residual of ||f/E||_p = 1 after rescaling, re-measured independently
-    unit = norm_pth_power(c_final)
+    unit = norm_pth_power(c_final, zeros if kinked else [])
     norm_residual = abs(unit.value ** (1.0 / p) - 1.0)
 
     return ExtremalSolution(

@@ -144,7 +144,11 @@ def _graded_kinks(p: float) -> bool:
     """Whether the |x - s|^q kinks of a p-th power integrand (q in p + Z)
     need graded panels: where p is an integer each side of a kink is
     analytic, so a plain panel edge at s keeps Gauss-Legendre's geometric
-    convergence, and grading toward it only multiplies the nodes."""
+    convergence, and grading toward it only multiplies the nodes.
+
+    The extremal solver's round grids follow this rule only at p >= 2, where
+    the gradient p |g|^(p-1) sign g is Lipschitz too; below p = 2 they stay
+    graded, p = 1 included (see extremal._SliceSolver)."""
     return not float(p).is_integer()
 
 
@@ -166,10 +170,11 @@ def _mapped_edges(
     return _graded_edges(a, b, panels, list(singular_points), graded), False
 
 
-def _grid(domain, panels: int, nodes: int, splits: Iterable[float] = ()):
+def _grid(domain, panels: int, nodes: int, splits: Iterable[float], graded: bool):
     """x-nodes and weights of the unrefined composite rule that integrate
-    uses for int h(x) dx over domain, panels graded toward splits."""
-    edges, line = _mapped_edges(domain, panels, splits)
+    uses for int h(x) dx over domain, with panel edges at splits, graded
+    toward them if graded (_mapped_edges)."""
+    edges, line = _mapped_edges(domain, panels, splits, graded)
     gl_x, gl_w = _gl_rule(nodes)
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])

@@ -416,6 +416,17 @@ class TestZeroExtraction:
         assert np.allclose(z, sol.zeros, rtol=1e-9, atol=0.0)
         assert np.max(np.abs(np.real(sol.eval(z))) / np.abs(eval_E(spec, z))) <= 1e-8
 
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_reported_zeros_are_those_of_the_returned_f(self, p):
+        # rooting the rescaled coefficients again gives the same bits:
+        # sol.zeros are not those of the unscaled optimum, which differ at
+        # the rooting's precision floor
+        rng = np.random.default_rng(0)
+        spec = HBSpec(zeros=[complex(rng.uniform(-3, 3), rng.uniform(-3, -0.1)) for _ in range(8)])
+        sol = solve(ExtremalProblem(p=p, spec=spec, xi=0.4, basis=PolynomialBasis(6)))
+        assert len(sol.zeros) >= 2
+        assert sol.zeros == tuple(sol._basis.real_zeros(sol._coef))
+
     def test_scan_bisects_every_sign_change(self):
         roots = X._scan_real_roots(np.sin, (-8.0, 8.0))
         assert np.allclose(roots, math.pi * np.arange(-2, 3), rtol=0.0, atol=1e-12)
@@ -541,7 +552,7 @@ class TestDiscretization:
         assert peak <= 16e6
 
     def test_graded_round_builds_its_grid_once(self, monkeypatch):
-        # round 0 checks 32 against 64 panels; each graded round starts from
+        # round 0 checks 32 against 64 panels; each split round starts from
         # the previous round's accepted panels and Gram trace
         prob = ExtremalProblem(p=3.0, spec=FOUR, xi=0.25, basis=PolynomialBasis(2))
         grids, rounds = [], []
@@ -561,6 +572,35 @@ class TestDiscretization:
         assert len(rounds) >= 2
         assert len(grids) == len(rounds) + 1
         assert grids == [32] + [64] * len(rounds)
+
+    @pytest.mark.parametrize("p, graded", [(1.0, True), (1.5, True), (2.5, True), (3.0, False)])
+    def test_round_grids_grade_only_below_two_or_at_fractional_p(self, p, graded, monkeypatch):
+        # every split round builds its grid once, with a panel edge at each
+        # split; at integer p >= 2 that edge is all, else up to 47 levels a
+        # side grade toward it
+        prob = ExtremalProblem(p=p, spec=FOUR, xi=0.25, basis=PolynomialBasis(2))
+        builds, rounds = [], []
+        grid, init = X._grid, X._SliceSolver.__init__
+
+        def recorded_grid(*args):
+            x, w = grid(*args)
+            builds.append((args[1], len(args[3]), x.size))
+            return x, w
+
+        def counted_init(self, *args):
+            rounds.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(X, "_grid", recorded_grid)
+        monkeypatch.setattr(X._SliceSolver, "__init__", counted_init)
+        solve(prob)
+        split = [build for build in builds if build[1]]
+        assert len(rounds) >= 2 and len(split) == len(rounds) - 1
+        for panels, n_splits, nodes in split:
+            if graded:
+                assert nodes >= (panels + 2 * 32 * n_splits) * X._QUAD_NODES
+            else:
+                assert nodes == (panels + n_splits) * X._QUAD_NODES
 
 
 class TestSeparation:
