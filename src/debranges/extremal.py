@@ -8,9 +8,10 @@ degree <= N-2) make every norm a convergent integral; truncated
 Paley-Wiener problems use a kernel-node basis on an explicit window and are
 labeled as truncated.
 
-For p >= 1 the problem is convex with a unique solution; damped Newton on
-the (smoothed, for p < 2) functional converges from any start.  The range
-0 < p < 1 is exposed as experimental multistart with no uniqueness claims.
+Problems are posed for p >= 1, where the problem is convex with a unique
+solution and damped Newton on the (smoothed, for p < 2) functional
+converges from any start; below p = 1 convexity, and with it every result
+on the optimum, is lost, so ExtremalProblem rejects such p.
 """
 
 from __future__ import annotations
@@ -107,10 +108,12 @@ class KernelNodeBasis:
 class ExtremalProblem:
     """One point-evaluation extremal problem instance.
 
-    Polynomial mode: spec must be polynomial-type with at least 2 zeros and
-    the basis degree is capped at N-2, so f/E and f#/E stay in H^p down to
-    p = 1.  Paley-Wiener mode: spec has exp_rate > 0, the basis is a
-    kernel-node family, and `window` truncates the norm integral.
+    p must be finite and at least 1 (ValueError otherwise): the optimum's
+    uniqueness, real simple zeros and zero-pair orthogonality rest on
+    convexity.  Polynomial mode: spec must be polynomial-type with at least
+    2 zeros and the basis degree is capped at N-2, so f/E and f#/E stay in
+    H^p down to p = 1.  Paley-Wiener mode: spec has exp_rate > 0, the basis
+    is a kernel-node family, and `window` truncates the norm integral.
     """
 
     p: float
@@ -121,8 +124,8 @@ class ExtremalProblem:
     window: Optional[Tuple[float, float]] = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.p) and self.p > 0):
-            raise ValueError(f"p must be positive, got {self.p}")
+        if not (math.isfinite(self.p) and self.p >= 1):
+            raise ValueError(f"p must be finite and >= 1, got {self.p}")
         if not math.isfinite(self.xi):
             raise ValueError("xi must be finite")
         if isinstance(self.basis, PolynomialBasis):
@@ -146,7 +149,7 @@ class ExtremalProblem:
         else:
             raise TypeError(f"unknown basis type {type(self.basis).__name__}")
         if self.kkt_tol is None:
-            object.__setattr__(self, "kkt_tol", 1e-6 if self.p <= 1 else 1e-8)
+            object.__setattr__(self, "kkt_tol", 1e-6 if self.p == 1 else 1e-8)
 
     @property
     def dimension(self) -> int:
@@ -419,9 +422,8 @@ class _SliceSolver:
         self.A = T @ self.Z
         self.g0 = T @ self.y_feas
 
-    def continuation(self, u_start, kkt_tol):
-        """Damped Newton down the eps ladder from u_start; returns u and its
-        value on the last stage run.
+    def continuation(self, u, kkt_tol):
+        """Damped Newton down the eps ladder from u; returns the point reached.
 
         p >= 2 is one unsmoothed stage; 1 < p < 2 and the kernel-node basis
         run every rung of _EPS_STAGES.  On the polynomial p = 1 path the rungs
@@ -436,20 +438,18 @@ class _SliceSolver:
           inside the basin), but this one is not 10 times below the best
           although eps fell at least 100-fold: the polish sits at the floor
           this grid allows, which only regrading toward the zeros lowers.
-        A polished point is returned with its exact (unsmoothed) value.
         """
-        u, val = u_start, math.inf
         stages = _EPS_STAGES if self.p < 2 else (0.0,)
         handover = self.p == 1.0 and self.basis.kind == "polynomial"
         if handover and self.kkt_residual(u) <= stages[0]:
-            return self._with_l1(self.exact_newton_polish(u, _POLISH_STEPS).u)
+            return self.exact_newton_polish(u, _POLISH_STEPS).u
         best = None
         for k, eps in enumerate(stages):
             last = k == len(stages) - 1
-            u, val, _, _ = _newton_on_slice(
+            u = _newton_on_slice(
                 self.A, self.w, self.g0, self.p, eps * self.b,
                 kkt_tol if last else 1e-6, u,
-            )
+            )[0]
             if not handover:
                 continue
             pol = self.exact_newton_polish(u, _POLISH_STEPS)
@@ -457,12 +457,8 @@ class _SliceSolver:
             if best is None or pol.kkt <= best.kkt:
                 best = pol
             if last or best.kkt <= stages[k + 1] or stalled:
-                return self._with_l1(best.u)
-        return u, val
-
-    def _with_l1(self, u):
-        """u with its exact p = 1 value sum w |g|."""
-        return u, float(np.sum(self.w * np.abs(self.g0 + self.A @ u)))
+                return best.u
+        return u
 
     def coeffs(self, u):
         return np.linalg.solve(self.R, self.y_feas + self.Z @ u)
@@ -538,8 +534,9 @@ class _SliceSolver:
 def solve(problem: ExtremalProblem, seed: Optional[int] = None) -> ExtremalSolution:
     """Solve the extremal problem; deterministic given (problem, seed).
 
-    seed randomizes the Newton starting point (used to confirm uniqueness
-    for p >= 1).  After first convergence the quadrature grid is rebuilt
+    seed randomizes the Newton starting point (used to confirm uniqueness).
+    Each round runs one start: zero, the seeded one, or the previous round's
+    optimum.  After first convergence the quadrature grid is rebuilt
     with panel edges at the estimated zeros of the candidate (the |F|^p
     kinks), unless p is an even integer and the integrand is smooth; the
     panels are graded toward them where p < 2 or p is not an integer (p = 1
@@ -549,9 +546,9 @@ def solve(problem: ExtremalProblem, seed: Optional[int] = None) -> ExtremalSolut
     rescaled coefficients.
     On the polynomial basis, 1 < p < 2 polishes each graded round with
     `exact_newton_polish`; at p = 1 every round, the unsplit one included,
-    hands its eps ladder over to that polish inside `continuation`.  0 < p < 1
-    is experimental: 8 multistarts, best value kept, no uniqueness or
-    separation assertions attach to the result.
+    hands its eps ladder over to that polish inside `continuation`.
+    NonConvergenceError is raised where a round's point is not finite or the
+    final KKT residual is above tolerance (or NaN).
     """
     p, n_free = problem.p, problem.dimension - 1
     rng = np.random.default_rng(seed)
@@ -570,25 +567,18 @@ def solve(problem: ExtremalProblem, seed: Optional[int] = None) -> ExtremalSolut
         solver = _SliceSolver(problem, basis, splits, grid)
         grid = solver.panels, solver.trace
         if c_star is not None:
-            starts = [solver.warm_start(c_star)]
-        elif (seed is None and p >= 1) or n_free == 0:
-            starts = [np.zeros(n_free)]
+            u = solver.warm_start(c_star)
+        elif seed is None or n_free == 0:
+            u = np.zeros(n_free)
         else:
-            # a seeded start; below p = 1 convexity is lost, so eight of them
-            spread = float(np.linalg.norm(solver.y_feas))
-            starts = [
-                rng.standard_normal(n_free) * spread for _ in range(1 if p >= 1 else 8)
-            ]
-        u_best, val_best = None, math.inf
-        for u0 in starts:
-            u, val = solver.continuation(u0, problem.kkt_tol)
-            if val < val_best:  # a non-finite value never displaces a finite one
-                u_best, val_best = u, val
-        if not math.isfinite(val_best):
-            raise NonConvergenceError("extremal solver failed to produce a finite value")
+            u = rng.standard_normal(n_free) * float(np.linalg.norm(solver.y_feas))
+        u = solver.continuation(u, problem.kkt_tol)
+        # a non-finite point must not reach split_guesses' root finder
+        if not np.all(np.isfinite(u)):
+            raise NonConvergenceError("extremal solver failed to produce a finite point")
         if k > 0 and 1.0 < p < 2.0 and basis.kind == "polynomial":
-            u_best = solver.exact_newton_polish(u_best).u
-        c_star = solver.coeffs(u_best)
+            u = solver.exact_newton_polish(u).u
+        c_star = solver.coeffs(u)
         if k == rounds - 1:
             break
         zeros = np.asarray(basis.split_guesses(c_star))
@@ -599,9 +589,9 @@ def solve(problem: ExtremalProblem, seed: Optional[int] = None) -> ExtremalSolut
             break
         splits = zeros
 
-    kkt = solver.kkt_residual(u_best)
+    kkt = solver.kkt_residual(u)
     del solver  # the final integrals need only c_star
-    if p >= 1 and kkt > max(10 * problem.kkt_tol, 1e-6):
+    if not kkt <= max(10 * problem.kkt_tol, 1e-6):  # a NaN residual fails too
         raise NonConvergenceError(f"KKT residual {kkt} above tolerance")
 
     scheme = QuadratureScheme(panels=16, max_refinements=8)

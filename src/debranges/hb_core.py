@@ -612,6 +612,21 @@ class StructuredEntire:
         raise NotImplementedError
 
 
+def _certify_own_space(name: str, spec: HBSpec, ambient: HBSpec) -> None:
+    """Membership of a function built from spec (a rotation or a kernel) in
+    ambient: its own space, or for a pure-exponential spec any ambient space
+    of at least its type; MembershipError names the function's class."""
+    if same_de_branges_space(spec, ambient):
+        return
+    if spec.degree == 0 and spec.exp_rate <= ambient.exp_rate:
+        # pure exponential of smaller type: bounded, type within budget
+        return
+    raise MembershipError(
+        f"{name} is only certified for its own space or, for "
+        "pure-exponential specs, an ambient space of at least its type"
+    )
+
+
 def _as_real_coeffs(c: np.ndarray, what: str) -> np.ndarray:
     scale = float(np.max(np.abs(c))) if c.size else 0.0
     if scale and float(np.max(np.abs(c.imag))) > 1e-12 * scale:
@@ -650,15 +665,7 @@ class RotationRealPart(StructuredEntire):
         return _scalar_if_0d(z, w)
 
     def certify(self, ambient: HBSpec) -> None:
-        if same_de_branges_space(self.spec, ambient):
-            return
-        if self.spec.degree == 0 and self.spec.exp_rate <= ambient.exp_rate:
-            # pure exponential of smaller type: bounded, type within budget
-            return
-        raise MembershipError(
-            "RotationRealPart is only certified for its own space or, for "
-            "pure-exponential specs, an ambient space of at least its type"
-        )
+        _certify_own_space("RotationRealPart", self.spec, ambient)
 
     def poly_coeffs(self, ambient: HBSpec) -> np.ndarray:
         if not self.spec.is_polynomial:
@@ -751,14 +758,7 @@ class Kernel(StructuredEntire):
         return np.where(near, taylor, num / np.where(near, 1.0, den))
 
     def certify(self, ambient: HBSpec) -> None:
-        if same_de_branges_space(self.spec, ambient):
-            return
-        if self.spec.degree == 0 and self.spec.exp_rate <= ambient.exp_rate:
-            return
-        raise MembershipError(
-            "Kernel is only certified for its own space or, for "
-            "pure-exponential specs, an ambient space of at least its type"
-        )
+        _certify_own_space("Kernel", self.spec, ambient)
 
     def poly_coeffs(self, ambient: HBSpec) -> np.ndarray:
         if not self.spec.is_polynomial:

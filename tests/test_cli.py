@@ -13,6 +13,7 @@ from debranges.cli import (
     run,
     validate_report,
 )
+import debranges.extremal as X
 from debranges.extremal import ComplexZeroError
 from debranges.hb_core import SpecError
 
@@ -202,6 +203,33 @@ class TestExtremalCommands:
             rep["inputs"].pop("out")
             outs.append(rep)
         assert outs[0] == outs[1]
+
+
+    def test_p_below_one_is_input_error(self, capsys):
+        spec = Path(__file__).resolve().parent.parent / "demos" / "specs" / "random_deg6.json"
+        code = run(["extremal", "--spec", str(spec), "--p", "0.5", "--xi", "0.2"])
+        assert code == EXIT_INPUT
+        assert "input error: p must be finite and >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "method,replacement",
+        [
+            ("kkt_residual", lambda self, u: 1e-3),
+            ("kkt_residual", lambda self, u: math.nan),
+            ("continuation", lambda self, u, tol: u * math.nan),
+        ],
+        ids=["kkt_above_tolerance", "kkt_nan", "nonfinite_point"],
+    )
+    def test_failed_solver_gate_is_nonconvergence(
+        self, method, replacement, spec_file, monkeypatch, capsys
+    ):
+        # a quartic: a non-finite point on its degree-2 basis would make the
+        # split finder's eigensolver raise LinAlgError, an input error
+        quartic = dict(CUBIC_JSON, zeros=[[0.0, -1.0]] * 4)
+        monkeypatch.setattr(X._SliceSolver, method, replacement)
+        code = run(["extremal", "--spec", spec_file(quartic), "--p", "1.5", "--xi", "0.2"])
+        assert code == EXIT_NONCONVERGENCE
+        assert "numerical non-convergence" in capsys.readouterr().err
 
 
 class TestSchemaAndErrors:

@@ -26,7 +26,12 @@ from debranges.extremal import (
     solve,
     symmetrize_real,
 )
-from debranges.numerics import QuadratureScheme, _integrate_batch, integrate
+from debranges.numerics import (
+    NonConvergenceError,
+    QuadratureScheme,
+    _integrate_batch,
+    integrate,
+)
 
 TWO = HBSpec(zeros=(-1j, -1j))
 THREE = HBSpec(zeros=(-1j,) * 3)
@@ -72,6 +77,21 @@ class TestProblemValidation:
     def test_kernel_basis_needs_window(self):
         with pytest.raises(ValueError):
             ExtremalProblem(p=2.0, spec=S_PI, xi=0.0, basis=KernelNodeBasis((0.0, 1.0)))
+
+    @pytest.mark.parametrize("p", [0.5, 0.999, math.nan, math.inf])
+    def test_p_below_one_or_not_finite_is_rejected(self, p):
+        # the problem is posed where it is convex; p = 1 itself is accepted
+        from debranges.extremal import problem_from_dict, problem_to_dict
+        from debranges.hb_core import SpecError
+
+        with pytest.raises(ValueError, match="p must be finite and >= 1"):
+            ExtremalProblem(p=p, spec=FOUR, xi=0.0, basis=PolynomialBasis(1))
+        wire = problem_to_dict(
+            ExtremalProblem(p=1.0, spec=FOUR, xi=0.0, basis=PolynomialBasis(1))
+        )
+        wire["p"] = p
+        with pytest.raises(SpecError, match="p must be finite and >= 1"):
+            problem_from_dict(wire)
 
     def test_default_kkt_tols(self):
         a = ExtremalProblem(p=1.0, spec=FOUR, xi=0.0, basis=PolynomialBasis(1))
@@ -243,7 +263,7 @@ class TestP1Handover:
         assert max(map(abs, sol.orthogonality_residuals)) <= 1e-4
 
 
-class TestUniquenessAndExperimental:
+class TestUniqueness:
     def test_two_random_starts_agree(self, rng):
         spec = make_random_spec(rng, 5, 7)
         for p in (1.0, 1.5, 3.0):
@@ -255,10 +275,25 @@ class TestUniquenessAndExperimental:
             c2 = s2.coefficients / np.linalg.norm(s2.coefficients)
             assert np.linalg.norm(c1 - c2) <= 1e-6
 
-    def test_experimental_small_p_runs(self):
-        prob = ExtremalProblem(p=0.75, spec=FOUR, xi=0.0, basis=PolynomialBasis(1))
-        sol = solve(prob, seed=3)
-        assert sol.C_value > 0
+
+class TestSolverGates:
+    """solve raises NonConvergenceError instead of returning a point that
+    failed the KKT gate or is not finite."""
+
+    PROBLEM = ExtremalProblem(p=1.5, spec=FOUR, xi=0.1, basis=PolynomialBasis(2))
+
+    @pytest.mark.parametrize("residual", [1e-3, math.nan])
+    def test_kkt_residual_above_tolerance_or_nan_raises(self, residual, monkeypatch):
+        monkeypatch.setattr(X._SliceSolver, "kkt_residual", lambda self, u: residual)
+        with pytest.raises(NonConvergenceError, match="KKT residual"):
+            solve(self.PROBLEM)
+
+    def test_nonfinite_point_raises(self, monkeypatch):
+        monkeypatch.setattr(
+            X._SliceSolver, "continuation", lambda self, u, tol: np.full_like(u, np.nan)
+        )
+        with pytest.raises(NonConvergenceError, match="finite point"):
+            solve(self.PROBLEM)
 
 
 class TestSymmetrize:
