@@ -617,8 +617,8 @@ def solve(problem: ExtremalProblem, seed: Optional[int] = None) -> ExtremalSolut
     norm_p = norm.value ** (1.0 / p)
     c_final = c_star / norm_p
     C_value = 1.0 / norm_p
-    # the reported zeros are those of the returned f (extract_zeros roots the
-    # same c_final): at the rooting's precision floor c_star's differ
+    # the reported zeros, which extract_zeros checks, are those of the
+    # returned f: at the rooting's precision floor c_star's differ
     zeros = basis.real_zeros(c_final)
     # residual of ||f/E||_p = 1 after rescaling, re-measured independently
     unit = norm_pth_power(c_final, zeros if kinked else [])
@@ -689,20 +689,19 @@ def _scan_real_roots(f, window, n_grid: int = 4096) -> List[float]:
 def extract_zeros(sol: ExtremalSolution, problem: ExtremalProblem) -> np.ndarray:
     """All zeros of the computed extremal function, asserted real and simple.
 
-    Polynomial mode roots the (scaled Chebyshev) coefficient form through a
-    companion/colleague matrix; a complex pair raises ComplexZeroError, which
-    at a claimed optimum indicates solver non-convergence.  Simplicity is
+    The zeros are sol.zeros: solve roots the returned coefficients once, and
+    in polynomial mode a complex pair raises ComplexZeroError there, which at
+    a claimed optimum indicates solver non-convergence.  Simplicity is
     asserted through gaps above the scale at which rounding splits a double
     zero in two and a derivative at each root that does not vanish against
     |f| within unit distance of it.
     """
-    zeros = sol._basis.real_zeros(sol._coef)
-    z = np.asarray(zeros)
+    z = np.asarray(sol.zeros)
     reach = 1.0 + np.maximum(np.abs(z[:-1]), np.abs(z[1:]))
     if np.any(np.diff(z) <= _SPLIT_GAP * reach):
         raise ComplexZeroError("repeated zero detected; zeros must be simple")
-    if zeros:
-        h = 1e-6 * (1.0 + np.abs(zeros))
+    if z.size:
+        h = 1e-6 * (1.0 + np.abs(z))
         d1 = (np.real(sol.eval(z + h)) - np.real(sol.eval(z - h))) / (2 * h)
         near = z[:, None] + np.linspace(-1.0, 1.0, 17)
         scale = np.max(np.abs(np.real(sol.eval(near))), axis=1)

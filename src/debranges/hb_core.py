@@ -627,15 +627,15 @@ def _certify_own_space(name: str, spec: HBSpec, ambient: HBSpec) -> None:
     )
 
 
-def _as_real_coeffs(c: np.ndarray, what: str) -> np.ndarray:
+def _as_real_coeffs(c: np.ndarray, noise: np.ndarray, what: str) -> np.ndarray:
+    """Real c, less trailing rounding noise: coefficients of at most 1e-13
+    of noise, the size of the terms that cancelled in each."""
     scale = float(np.max(np.abs(c))) if c.size else 0.0
     if scale and float(np.max(np.abs(c.imag))) > 1e-12 * scale:
         raise ArithmeticError(f"{what}: coefficients failed to come out real")
     out = np.real(c).astype(float)
-    # drop trailing rounding noise so degrees are meaningful
-    tol = 1e-13 * scale
     n = out.size
-    while n > 1 and abs(out[n - 1]) <= tol:
+    while n > 1 and abs(out[n - 1]) <= 1e-13 * noise[n - 1]:
         n -= 1
     return out[:n]
 
@@ -670,11 +670,12 @@ class RotationRealPart(StructuredEntire):
     def poly_coeffs(self, ambient: HBSpec) -> np.ndarray:
         if not self.spec.is_polynomial:
             raise ValueError("not polynomial-type")
+        e = _e_poly_coeffs(self.spec)
         c = 0.5 * (
-            np.exp(1j * self.beta) * _e_poly_coeffs(self.spec)
+            np.exp(1j * self.beta) * e
             + np.exp(-1j * self.beta) * _e_poly_coeffs(self.spec, conjugate=True)
         )
-        return _as_real_coeffs(c, "RotationRealPart")
+        return _as_real_coeffs(c, np.abs(e), "RotationRealPart")
 
     def to_dict(self) -> dict:
         return {
@@ -763,14 +764,17 @@ class Kernel(StructuredEntire):
     def poly_coeffs(self, ambient: HBSpec) -> np.ndarray:
         if not self.spec.is_polynomial:
             raise ValueError("not polynomial-type")
-        num = np.conj(self._et) * _e_poly_coeffs(self.spec) - np.conj(
-            self._ets
-        ) * _e_poly_coeffs(self.spec, conjugate=True)
+        e = _e_poly_coeffs(self.spec)
+        num = np.conj(self._et) * e - np.conj(self._ets) * _e_poly_coeffs(
+            self.spec, conjugate=True
+        )
         # numerator vanishes at t; deflate by (z - t) via Horner division
         q, rem = _deflate(num, self.t)
         if abs(rem) > 1e-10 * (1.0 + float(np.max(np.abs(num)))):
             raise ArithmeticError("kernel numerator did not vanish at its node")
-        return _as_real_coeffs(q / (-2j * math.pi), "Kernel")
+        # the size of the terms that cancel in num, carried through the division
+        noise = np.real(_deflate(2.0 * abs(self._et) * np.abs(e), abs(self.t))[0])
+        return _as_real_coeffs(q / (-2j * math.pi), noise / (2 * math.pi), "Kernel")
 
     def to_dict(self) -> dict:
         return {"kind": "kernel", "spec": spec_to_dict(self.spec), "t": self.t}

@@ -8,8 +8,9 @@ levels, runs the dense-grid margin check with worst-node refinement, and
 evaluates the local expansion (double zero of f - A_alpha, positive
 curvature, increasing -B_alpha) at xi.  Without a window, xi comes from one
 scan of the whole line through x = c + s tan(theta), checked against the
-exact limit of |f/E| at infinity (OverflowError where |f/E| is not
-representable on it: pass a window).
+exact limit of |f/E| at infinity (OverflowError where f and E overflow on it,
+kernels of the spec's own space aside: pass a window); on polynomial specs
+each peak is pinned by bisecting the slope of log|f/E|.
 
 Verification is grid-based to numerical precision, not interval-rigorous.
 """
@@ -22,11 +23,13 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .hb_core import (
     BracketUnavailableError,
     Combination,
     HBSpec,
+    Kernel,
     PhaseProfile,
     RotationRealPart,
     StructuredEntire,
@@ -39,7 +42,7 @@ from .hb_core import (
     same_de_branges_space,
     solve_phase_level,
 )
-from .numerics import _refine_max, golden_max
+from .numerics import _refine_max, golden_max, monotone_solve
 
 __all__ = [
     "BracketUnavailableError",
@@ -56,9 +59,6 @@ __all__ = [
 ]
 
 EntireLike = Union[StructuredEntire, Callable[[np.ndarray], np.ndarray]]
-
-_POLY = np.polynomial.polynomial
-
 
 class WrongSignError(RuntimeError):
     """f is negative at every extremal point; use verify_sign_free."""
@@ -137,40 +137,18 @@ def _rotation_candidates(f: RotationRealPart, spec: HBSpec) -> List[_Candidate]:
     return out
 
 
-def _ratio_stationary_polisher(
-    fc: np.ndarray, spec: HBSpec
-) -> Callable[[float, float], float]:
-    """Newton polish for argmax candidates of f^2 / |E|^2 on polynomial specs.
+def _log_ratio_slope(coeffs: np.ndarray, spec: HBSpec) -> Callable[[np.ndarray], np.ndarray]:
+    """(log|f/E|)' = f'/f - sum_n (x - x_n) / ((x - x_n)^2 + yhat_n^2) on a
+    polynomial spec, from f's monomial coefficients: no |E|^2 is formed."""
+    dc = P.polyder(coeffs)
 
-    Stationary points solve g = 2 f' W - f W' = 0 with W = |E|^2, all exact
-    real polynomials given f's monomial coefficients fc, which pins xi to
-    machine precision where golden-section value comparison stalls at
-    sqrt(eps).
-    """
-    roots = list(spec.zeros) + [complex(z).conjugate() for z in spec.zeros]
-    W = np.real(_POLY.polyfromroots(roots)) * spec.scale ** 2
-    g = _POLY.polysub(
-        2.0 * _POLY.polymul(_POLY.polyder(fc), W),
-        _POLY.polymul(fc, _POLY.polyder(W)),
-    )
-    gd = _POLY.polyder(g)
+    def slope(x):
+        d = x[:, None] - spec.x_n
+        with np.errstate(divide="ignore", invalid="ignore"):
+            df_f = P.polyval(x, dc) / P.polyval(x, coeffs)
+        return df_f - np.sum(d / (d * d + spec.yhat_n ** 2), axis=1)
 
-    def polish(x: float, trust: float) -> float:
-        x0 = x
-        for _ in range(8):
-            gv = float(_POLY.polyval(x, g))
-            dv = float(_POLY.polyval(x, gd))
-            if dv == 0.0:
-                break
-            step = gv / dv
-            if abs(step) > trust:
-                return x0
-            x = x - step
-            if abs(step) <= 1e-15 * (1.0 + abs(x)):
-                break
-        return x if abs(x - x0) <= trust else x0
-
-    return polish
+    return slope
 
 
 def _grid_candidates(
@@ -178,9 +156,14 @@ def _grid_candidates(
     fval: Callable[[np.ndarray], np.ndarray],
     xs: np.ndarray,
     vals: np.ndarray,
-    polish: Optional[Callable[[float, float], float]] = None,
+    coeffs: Optional[np.ndarray],
+    spec: HBSpec,
 ) -> List[_Candidate]:
-    """Refine the maxima of ratio scanned as vals on the increasing grid xs."""
+    """Refine the maxima of ratio scanned as vals on the increasing grid xs:
+    golden section between a peak's neighbours, then, given f's monomial
+    coefficients, one lockstep bisection of the slope of log|f/E| on every
+    bracket where it falls through 0.  That pins xi where value comparison
+    stalls at sqrt(eps); a bisected point is kept only if not lower."""
     n_grid = xs.size
     # refine every interior local maximum near the global level; the screen
     # uses parabolic vertex estimates since raw grid values carry O(h^2) bias
@@ -200,19 +183,17 @@ def _grid_candidates(
                 v = vals[i] + (vals[i + 1] - vals[i - 1]) ** 2 / (8 * den)
         est[i] = v
     peak = max(est.values())
-    cands = []
     near = np.array([i for i in idx if not est[i] < peak * (1.0 - 1e-6)], dtype=int)
     lo_n, hi_n = xs[np.maximum(near - 1, 0)], xs[np.minimum(near + 1, n_grid - 1)]
     vs, xr = golden_max(ratio, lo_n, hi_n, tol=1e-13)
-    for v, x, width in zip(vs.tolist(), xr.tolist(), (hi_n - lo_n).tolist()):
-        if polish is not None:
-            # keep the Newton point only where it does not lose height: its
-            # degree-2N stationarity polynomial can carry no correct digits
-            xp = polish(x, width)
-            vp = float(ratio(np.array([xp]))[0])
-            if vp >= v * (1.0 - 1e-12):
-                x, v = xp, vp
-        cands.append((x, v))
+    if coeffs is not None:
+        slope = _log_ratio_slope(coeffs, spec)
+        i = np.flatnonzero((slope(lo_n) > 0.0) & (slope(hi_n) < 0.0))
+        xb = monotone_solve(lambda x: -slope(x), 0.0, (lo_n[i], hi_n[i]), tol=1e-15)
+        vb = ratio(xb)
+        keep = vb >= vs[i] * (1.0 - 1e-12)
+        xr[i[keep]], vs[i[keep]] = xb[keep], vb[keep]
+    cands = list(zip(xr.tolist(), vs.tolist()))
     best = max(v for _, v in cands)
     out = []
     for x, v in cands:
@@ -231,6 +212,7 @@ def _grid_candidates(
 
 
 def _whole_line_scan(
+    f: StructuredEntire,
     coeffs: np.ndarray,
     spec: HBSpec,
     ratio: Callable[[np.ndarray], np.ndarray],
@@ -239,7 +221,9 @@ def _whole_line_scan(
     """|f/E| on x = c + s tan(theta), theta evenly spaced inside (-pi/2, pi/2).
 
     c and s are the midpoint and (at least 1) the half-width of the range of
-    the zeros' real parts, so the grid is densest where E varies.
+    the zeros' real parts, so the grid is densest where E varies.  Where f
+    and E overflow, a kernel of the spec's own space takes its phase form
+    |E(t)| |sin((phi(x) - phi(t))/2)| / (pi |x - t|), free of E at x.
     """
     n = spec.degree
     if coeffs.size - 1 > n:
@@ -251,6 +235,11 @@ def _whole_line_scan(
     xs = c + s * np.tan(theta)
     with np.errstate(over="ignore", invalid="ignore"):
         vals = np.asarray(ratio(xs), dtype=float)
+    bad = ~np.isfinite(vals)
+    if bad.any() and isinstance(f, Kernel) and same_de_branges_space(f.spec, spec):
+        profile = PhaseProfile(spec, f.t)
+        half = 0.5 * (phase(profile, xs[bad]) - profile.anchor_value)
+        vals[bad] = abs(eval_E(spec, f.t)) * np.abs(np.sin(half)) / (math.pi * np.abs(xs[bad] - f.t))
     if not np.all(np.isfinite(vals)):
         raise OverflowError(
             "|f/E| is not representable in floating point on the scan of the "
@@ -307,7 +296,7 @@ def _candidates(
     coeffs = None
     if window is None:
         coeffs = f.poly_coeffs(spec)
-        xs, vals = _whole_line_scan(coeffs, spec, ratio, n_grid)
+        xs, vals = _whole_line_scan(f, coeffs, spec, ratio, n_grid)
     else:
         xs = np.linspace(float(window[0]), float(window[1]), n_grid)
         vals = np.asarray(ratio(xs), dtype=float)
@@ -316,8 +305,7 @@ def _candidates(
                 coeffs = f.poly_coeffs(spec)
             except (ValueError, ArithmeticError):
                 pass
-    polish = None if coeffs is None else _ratio_stationary_polisher(coeffs, spec)
-    return _grid_candidates(ratio, fe, xs, vals, polish=polish)
+    return _grid_candidates(ratio, fe, xs, vals, coeffs, spec)
 
 
 def locate_extremum(
@@ -330,7 +318,8 @@ def locate_extremum(
 
     Without a window, |f/E| is scanned once on the whole line through
     x = c + s tan(theta) and checked against its exact limit at infinity
-    (OverflowError where it is not representable there: pass a window).
+    (OverflowError where it is not representable there, kernels of the
+    spec's own space aside: pass a window).
     Ties (periodic functions in Paley-Wiener space) break to the argmax of
     smallest absolute value, for determinism.
     """

@@ -399,6 +399,11 @@ class TestSharedResidualGrid:
         assert all(r.converged for r in seen)
 
 
+def _with_coef(sol, coef):
+    """sol with other coefficients and, as solve reports them, their zeros."""
+    return dataclasses.replace(sol, _coef=coef, zeros=tuple(sol._basis.real_zeros(coef)))
+
+
 class TestZeroExtraction:
     def test_no_zero_constant(self):
         prob = ExtremalProblem(p=2.0, spec=TWO, xi=0.0, basis=PolynomialBasis(0))
@@ -417,21 +422,20 @@ class TestZeroExtraction:
         # x^2 + 1 in the scaled Chebyshev basis has a complex pair
         L = sol._basis.scale
         bad = np.array([1.0 + L * L / 2.0, 0.0, L * L / 2.0])
-        fake = dataclasses.replace(sol, _coef=bad)
         with pytest.raises(ComplexZeroError):
-            extract_zeros(fake, prob)
+            extract_zeros(_with_coef(sol, bad), prob)
 
     def test_rounding_split_double_zero_flagged(self):
         # (x/L - 1/2)^2 has a double zero at L/2 that the colleague matrix
         # returns as two real roots about 4e-8 apart
         prob = ExtremalProblem(p=2.0, spec=FOUR, xi=0.0, basis=PolynomialBasis(2))
         sol = solve(prob)
-        fake = dataclasses.replace(sol, _coef=_cheb.poly2cheb([0.25, -1.0, 1.0]))
+        fake = _with_coef(sol, _cheb.poly2cheb([0.25, -1.0, 1.0]))
         assert len(fake._basis.real_zeros(fake._coef)) == 2
         with pytest.raises(ComplexZeroError):
             extract_zeros(fake, prob)
         # a simple pair 0.04 apart still passes
-        close = dataclasses.replace(sol, _coef=_cheb.poly2cheb([0.2499, -1.0, 1.0]))
+        close = _with_coef(sol, _cheb.poly2cheb([0.2499, -1.0, 1.0]))
         L = sol._basis.scale
         assert np.allclose(extract_zeros(close, prob), [0.49 * L, 0.51 * L], atol=1e-12)
 

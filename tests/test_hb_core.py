@@ -600,6 +600,16 @@ class TestStructuredEntire:
         # K_0 = 4 (1 - z^2) / pi
         assert np.allclose(c, [4 / math.pi, 0.0, -4 / math.pi], atol=1e-12)
 
+    @pytest.mark.parametrize("n", [40, 64])
+    def test_poly_coeffs_keep_the_true_degree(self, n):
+        # trimming against the largest coefficient dropped genuine leading
+        # ones: 37 of 41 at N = 40, 52 of 65 at N = 64 on these zeros
+        spec = HBSpec(zeros=reference_specs()[64].zeros[:n], rotation=0.3, scale=2.0)
+        rot = RotationRealPart(spec, 0.7).poly_coeffs(spec)
+        assert rot.size == n + 1
+        assert abs(rot[-1] - 2.0 * math.cos(0.7 + 0.3)) <= 1e-14
+        assert Kernel(spec, 0.2).poly_coeffs(spec).size == n
+
     def test_membership_degree_cap(self):
         with pytest.raises(MembershipError):
             RealPolynomial([0.0, 0.0, 1.0]).certify(TWO)

@@ -118,8 +118,19 @@ class TestLocateExtremum:
 class TestWholeLineScan:
     """Windowless extremum search: one scan of x = c + s tan(theta)."""
 
-    @pytest.mark.parametrize("n, t", [(8, -0.18160172726167745), (24, 0.5768574068568086)])
+    @pytest.mark.parametrize(
+        "n, t",
+        [
+            (8, -0.18160172726167745),
+            (24, 0.5768574068568086),
+            (128, 0.5070262173496132),
+            (256, -0.3763370959790291),
+        ],
+    )
     def test_reference_kernels_verify_without_window(self, n, t):
+        # the hb_verify nodes of seed 1; at N = 128 and 256 f and E overflow
+        # together far out on the scan, where the kernel's phase form stands
+        # in, and at N = 256 the slope's bisected point is lower and dropped
         spec = reference_specs()[n]
         rep = verify_theorem1(Kernel(spec, t), spec)
         assert rep.passed
@@ -137,20 +148,23 @@ class TestWholeLineScan:
         assert float(np.max(vals)) <= norm * (1.0 + 1e-9)
 
     def test_polished_point_kept_only_if_not_lower(self):
-        # Newton on the degree-130 stationarity polynomial moves xi downhill
-        # here; keeping that point puts the margin at -1.5e-8 (tolerance 1e-9)
+        # the peak lies 1e-4 from the node, inside Kernel.eval's Taylor
+        # bridge; a refined xi that lost height here put the margin at -1.5e-8
+        # (tolerance 1e-9)
         spec = reference_specs()[65]
         rep = verify_theorem1(Kernel(spec, 0.9348719049873533), spec)
         assert rep.passed
         assert rep.min_margin_scaled >= -1e-9
 
-    def test_reference_kernel_n256_overflows(self):
-        # f and E overflow together on the scan; no numpy warning either
+    def test_kernel_combination_n256_overflows(self):
+        # f and E overflow together on the scan, and only a lone kernel has
+        # the phase form; no numpy warning either
         spec = reference_specs()[256]
+        f = Combination([(1.0, Kernel(spec, 0.2)), (1.0, Kernel(spec, -0.3))])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(OverflowError, match="pass a window"):
-                locate_extremum(Kernel(spec, 0.2), spec)
+                locate_extremum(f, spec)
 
 
 class TestBrackets:
