@@ -169,6 +169,9 @@ class ExtremalSolution:
     coefficients are monomial for polynomial mode and kernel weights for
     Paley-Wiener mode; `eval` reconstructs f from the solve's basis and its
     coefficients there (a scaled Chebyshev series / kernel sums).
+    C_value is |f(xi)/E(xi)| / ||f/E||_p and zeros are the real zeros of
+    the returned coefficients; in polynomial mode both, and the residuals,
+    read |f/E| from the zeros' product, not from the series.
     norm_converged says whether both norm integrals, of the optimum and of
     its rescaling, met their quadrature target; it is not part of to_dict.
     """
@@ -254,6 +257,41 @@ class _ChebBasis:
         mono = _cheb.cheb2poly(c)
         return np.real(mono / self.scale ** np.arange(mono.size))
 
+    def abs_ratio(self, c, zeros, spec: HBSpec, x):
+        """|f(x)/E(x)| as |a| prod_k |x - lambda_k| / |E(x)|, lambda_k the
+        zeros that real_zeros returns for c and a the leading monomial
+        coefficient of the series it roots.  Unlike the series in x / scale,
+        the product keeps its digits where f has a zero far outside the
+        scale.  Each zero of f is paired with one of E and the pairs'
+        squared ratios multiplied, so no partial product leaves the float
+        range for |x| < 1e154.  Given fewer zeros than f has (a perturbed
+        f with complex zeros), it takes f's roots from c."""
+        cc = _cheb_trim(c, 1e-12)
+        n = cc.size - 1
+        # in t = x / scale, f = c_n 2^(n-1) prod_k (t - lambda_k / scale)
+        if len(zeros) == n:
+            lam = np.asarray(zeros, dtype=float) / self.scale
+        else:
+            lam = _cheb.chebroots(cc) if n else np.zeros(0)
+        x = np.asarray(x, dtype=float)
+        t = x / self.scale
+        out, d, e = np.ones(x.shape), np.empty(x.shape), np.empty(x.shape)
+        for k, (xn, yn) in enumerate(zip(spec.x_n.tolist(), spec.yhat_n.tolist())):
+            np.subtract(x, xn, out=d)
+            np.multiply(d, d, out=d)
+            d += yn * yn
+            if k < n:
+                np.subtract(t, lam[k].real, out=e)
+                np.multiply(e, e, out=e)
+                if lam[k].imag:
+                    e += lam[k].imag ** 2
+                out *= np.divide(e, d, out=e)
+            else:
+                out /= d
+        np.sqrt(out, out=out)
+        out *= abs(cc[-1]) * 2.0 ** max(n - 1, 0) / spec.scale
+        return out
+
 
 class _KernelBasis:
     """Paley-Wiener mode: sums of kernels K_{t_j} on the truncation window."""
@@ -290,6 +328,10 @@ class _KernelBasis:
     def monomial(self, c) -> np.ndarray:
         """The reported coefficients: the kernel weights themselves."""
         return np.real(c)
+
+    def abs_ratio(self, c, zeros, spec: HBSpec, x):
+        """|f(x)/E(x)| from the kernel sum; the zeros are not needed."""
+        return np.abs(np.real(self.eval(c, x))) / np.abs(eval_E(spec, x))
 
 
 # ---------------------------------------------------------------------------
@@ -542,8 +584,15 @@ def solve(problem: ExtremalProblem, seed: Optional[int] = None) -> ExtremalSolut
     panels are graded toward them where p < 2 or p is not an integer (p = 1
     keeps its grading for its exact-sign polish; see `_SliceSolver`).  Each
     such round starts from the previous round's panel count and Gram trace
-    and builds its grid once.  The reported zeros are those of the returned,
-    rescaled coefficients.
+    and builds its grid once.
+    The optimum is then rooted (a complex zero raises ComplexZeroError; on
+    the kernel basis only where the norm has kinks), and its norm and
+    C_value = |f(xi)/E(xi)| / ||f/E||_p take |f/E| from basis.abs_ratio:
+    on the polynomial basis the product over its real zeros, which keeps
+    the digits the Chebyshev series loses to a zero far outside the scale.
+    The reported zeros are those of the returned, rescaled coefficients;
+    the unit-norm check and the zero-pair residuals integrate the same
+    product over them.
     On the polynomial basis, 1 < p < 2 polishes each graded round with
     `exact_newton_polish`; at p = 1 every round, the unsplit one included,
     hands its eps ladder over to that polish inside `continuation`.
@@ -596,32 +645,35 @@ def solve(problem: ExtremalProblem, seed: Optional[int] = None) -> ExtremalSolut
 
     scheme = QuadratureScheme(panels=16, max_refinements=8)
 
-    def norm_pth_power(c, splits) -> IntegralResult:
-        """int |f/E|^p for the coefficients c, with panel edges at splits
-        (the real zeros of f unless p is an even integer): integrate's panels
-        graded toward them for non-integer p, plain edges for integer p
-        (numerics._graded_kinks)."""
+    def norm_pth_power(c, zeros) -> IntegralResult:
+        """int |f/E|^p for the coefficients c, whose real zeros are `zeros`,
+        by basis.abs_ratio; where p is not an even integer the zeros are
+        panel edges, toward which integrate grades for non-integer p (plain
+        edges for integer p, numerics._graded_kinks)."""
 
         def ratio_pow(x):
-            return np.abs(np.real(basis.eval(c, x)) / np.abs(eval_E(problem.spec, x))) ** p
+            return basis.abs_ratio(c, zeros, problem.spec, x) ** p
 
+        splits = zeros if kinked else []
         if _graded_kinks(p):
             return integrate(ratio_pow, basis.domain, scheme, singular_points=splits)
         return _integrate_batch(
             lambda x, active: [ratio_pow(x)], 1, basis.domain, scheme, splits, graded=False
         )[0]
 
-    # exact norm of the unscaled optimum; where it has kinks, rooting c_star
-    # is also the gate against complex zeros
-    norm = norm_pth_power(c_star, basis.real_zeros(c_star) if kinked else [])
+    # rooting c_star is also the gate against complex zeros; the kernel
+    # sum's |f/E| needs no zeros, and without kinks it skips that scan
+    zeros = basis.real_zeros(c_star) if kinked or basis.kind == "polynomial" else []
+    norm = norm_pth_power(c_star, zeros)
     norm_p = norm.value ** (1.0 / p)
     c_final = c_star / norm_p
-    C_value = 1.0 / norm_p
+    # C = |f(xi)/E(xi)| / ||f/E||_p, both from the same zeros' product
+    C_value = float(basis.abs_ratio(c_star, zeros, problem.spec, problem.xi)) / norm_p
     # the reported zeros, which extract_zeros checks, are those of the
     # returned f: at the rooting's precision floor c_star's differ
     zeros = basis.real_zeros(c_final)
     # residual of ||f/E||_p = 1 after rescaling, re-measured independently
-    unit = norm_pth_power(c_final, zeros if kinked else [])
+    unit = norm_pth_power(c_final, zeros)
     norm_residual = abs(unit.value ** (1.0 / p) - 1.0)
 
     return ExtremalSolution(
@@ -657,15 +709,22 @@ def _min_gap(zeros: Sequence[float]) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _cheb_roots(c: np.ndarray, trim: float) -> np.ndarray:
-    """Roots of a Chebyshev series, without its trailing coefficients of at
-    most trim * max |c|: rounding noise there would inject spurious huge roots."""
+def _cheb_trim(c: np.ndarray, trim: float) -> np.ndarray:
+    """A Chebyshev series without its trailing coefficients of at most
+    trim * max |c| (at least its constant term is kept)."""
     cc = np.asarray(c, dtype=float)
     top = float(np.max(np.abs(cc))) if cc.size else 0.0
     n = cc.size
     while n > 1 and abs(cc[n - 1]) <= trim * top:
         n -= 1
-    return _cheb.chebroots(cc[:n]) if n > 1 else np.zeros(0)
+    return cc[:n]
+
+
+def _cheb_roots(c: np.ndarray, trim: float) -> np.ndarray:
+    """Roots of a Chebyshev series, trimmed by _cheb_trim: rounding noise in
+    its trailing coefficients would inject spurious huge roots."""
+    cc = _cheb_trim(c, trim)
+    return _cheb.chebroots(cc) if cc.size > 1 else np.zeros(0)
 
 
 def _scan_real_roots(f, window, n_grid: int = 4096) -> List[float]:
@@ -741,10 +800,10 @@ def _orthogonality_residuals(
     """orthogonality_residual of each zero pair for f = basis.eval(c), whose
     real zeros are `zeros`, all on one quadrature grid.
 
-    The pair-independent weight (x-xi)^2 |f|^p / |E|^p is evaluated once per
-    block of nodes, and each pair's absolute and signed sums are taken from
-    it; panels are split at the zeros of f and at every pair's endpoints.
-    The kinks there, |x - lambda|^{p-1} and |x - lambda|^p, have integer
+    The pair-independent weight (x-xi)^2 |f/E|^p (basis.abs_ratio) is
+    evaluated once per block of nodes, and each pair's absolute and signed
+    sums are taken from it; panels are split at the zeros of f and at every
+    pair's endpoints.  The kinks there, |x - lambda|^{p-1} and |x - lambda|^p, have integer
     exponents at integer p, where each side is analytic and a plain panel
     edge keeps the rule's geometric convergence; the panels are graded toward
     them only for non-integer p (numerics._graded_kinks).
@@ -755,8 +814,7 @@ def _orthogonality_residuals(
 
     def integrands(x, active):
         # integrand 2i is pair i's absolute integral, 2i + 1 its signed one
-        fx = np.abs(np.real(basis.eval(c, x)))
-        base = (x - xi) ** 2 * fx ** p / np.abs(eval_E(spec, x)) ** p
+        base = (x - xi) ** 2 * basis.abs_ratio(c, zeros, spec, x) ** p
         last = None
         for j in active:
             i, signed = divmod(j, 2)

@@ -28,3 +28,11 @@ def reference_specs():
         )
         for n in (3, 256, 8, 128, 24, 65, 64)
     }
+
+
+def xi_sweep_spec():
+    """The xi_sweep benchmark spec: 12 zeros from default_rng(0)."""
+    base = np.random.default_rng(0)
+    return HBSpec(
+        zeros=tuple(complex(base.uniform(-3, 3), base.uniform(-3, -0.1)) for _ in range(12))
+    )

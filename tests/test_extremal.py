@@ -10,6 +10,7 @@ from numpy.polynomial import chebyshev as _cheb
 
 import debranges.extremal as X
 from conftest import make_random_spec
+from debranges import numerics
 from debranges.bounds import C2_exact, embedding_bound
 from debranges.hb_core import HBSpec, eval_E, phase_derivative_sup
 from debranges.extremal import (
@@ -27,6 +28,7 @@ from debranges.extremal import (
     symmetrize_real,
 )
 from debranges.numerics import (
+    IntegralResult,
     NonConvergenceError,
     QuadratureScheme,
     _integrate_batch,
@@ -571,13 +573,18 @@ class TestDiscretization:
         # p = 1.5 norm integrals on 4-node panels that never converge: 9
         # doublings, over 600,000 nodes at the last level.  Evaluated on
         # whole 262,144-node blocks the solve peaked at 32 MB traced; on
-        # sub-blocks it stays near 10 MB
+        # sub-blocks it stays near 10 MB.  No integral settles before its
+        # last level, whatever its sums: two levels may agree to the bit
         def scheme(**kwargs):
             if kwargs.get("panels") == 16:
-                kwargs.update(nodes_per_panel=4, max_refinements=9, target_rel_error=1e-300)
+                kwargs.update(nodes_per_panel=4, max_refinements=9)
             return QuadratureScheme(**kwargs)
 
+        def settle(sums, hint, tol, final):
+            return IntegralResult(sums[-1], math.inf, False, len(sums) - 1) if final else None
+
         monkeypatch.setattr(X, "QuadratureScheme", scheme)
+        monkeypatch.setattr(numerics, "_settle", settle)
         spec = HBSpec(zeros=(-1j, -2j, 0.5 - 1j, -0.5 - 1.5j, 1 - 0.7j, -1.2 - 0.9j))
         prob = ExtremalProblem(p=1.5, spec=spec, xi=0.3, basis=PolynomialBasis(4))
         solve(prob)
